@@ -64,12 +64,16 @@ inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   return out;
 }
 
+/// Parses --klass=; an unknown class exits 2 with the valid set instead of
+/// silently running class R.
 inline npb::Klass klass_by_name(const std::string& name) {
-  if (name == "S") return npb::Klass::S;
-  if (name == "W") return npb::Klass::W;
-  if (name == "A") return npb::Klass::A;
-  if (name == "B") return npb::Klass::B;
-  return npb::Klass::R;
+  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
+                       npb::Klass::B, npb::Klass::R}) {
+    if (name == npb::klass_name(k)) return k;
+  }
+  std::cerr << "unknown class '" << name
+            << "' in --klass= (valid: S,W,A,B,R)\n";
+  std::exit(2);
 }
 
 /// Canonical comma-joined kernel list ("BT,CG,FT,SP,MG,GUPS,GT,PC") — the
@@ -185,7 +189,19 @@ inline exec::Strategy strategy_from(const Options& opts) {
   return s;
 }
 
-/// Engine sized from --workers= / LPOMP_WORKERS (0 → one per host core);
+/// --workers= / LPOMP_WORKERS: 0 → one per host core. A negative count
+/// exits 2 rather than wrapping to ~4 billion pool threads.
+inline unsigned workers_from(const Options& opts) {
+  const long workers = opts.get_int("workers", 0);
+  if (workers < 0) {
+    std::cerr << "invalid --workers=" << workers
+              << " (expected 0 for one per core, or a positive count)\n";
+    std::exit(2);
+  }
+  return static_cast<unsigned>(workers);
+}
+
+/// Engine sized from --workers= (workers_from above);
 /// --trace-store-mb= bounds the trace store backing trace-backed sweeps.
 /// The default must fit the largest single class-R stream (a 1-thread
 /// BT/FT trace runs to several hundred MB): a trace larger than the whole
@@ -196,7 +212,7 @@ inline exec::Strategy strategy_from(const Options& opts) {
 /// combination.
 inline exec::ExperimentEngine make_engine(const Options& opts) {
   exec::ExperimentEngine::Config cfg;
-  cfg.workers = static_cast<unsigned>(opts.get_int("workers", 0));
+  cfg.workers = workers_from(opts);
   cfg.trace_store_bytes =
       MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
   cfg.strategy = strategy_from(opts);
@@ -218,14 +234,16 @@ inline exec::ExperimentEngine make_engine(const Options& opts) {
 
 /// Trace provenance counts of a sweep: how many records came from each of
 /// "live", "record", "replay" (interpreted), "analytic" (compiled-plan
-/// fast-forward replay), "lane" (fused multi-lane follower) and "fallback"
-/// (rejected trace re-run live).
+/// fast-forward replay), "lane" (fused multi-lane follower), "fold" (copied
+/// from a provably equivalent point of its group) and "fallback" (rejected
+/// trace re-run live).
 struct TraceProvenance {
   std::size_t live = 0;
   std::size_t record = 0;
   std::size_t replay = 0;
   std::size_t analytic = 0;
   std::size_t lane = 0;
+  std::size_t fold = 0;
   std::size_t fallback = 0;
 };
 
@@ -240,6 +258,8 @@ inline TraceProvenance trace_provenance(const exec::SweepResult& result) {
       ++p.analytic;
     } else if (r.trace_source == "lane") {
       ++p.lane;
+    } else if (r.trace_source == "fold") {
+      ++p.fold;
     } else if (r.trace_source == "fallback") {
       ++p.fallback;
     } else {

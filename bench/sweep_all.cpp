@@ -11,15 +11,18 @@
 //
 // The sweep is trace-backed by default: each unique address stream
 // (kernel × class × threads × page kind) is served as one fused group —
-// the first grid point runs live while recording, the stream is compiled
-// into a TracePlan once, and every other platform/seed point replays the
-// plan with the analytic fast-forward tier, skipping the kernel numerics
-// without changing a single counter. --strategy= picks the execution
-// strategy explicitly: analytic (the default via auto), multilane
-// (live-leader lane fan-out), recorded (record-then-replay trace store
-// path), live (no traces at all); every choice produces bit-identical
-// grids. The historical --no-trace/--no-multilane/--no-analytic flags
-// remain as aliases that print their --strategy= equivalent.
+// the first grid point runs live and every other platform/policy point's
+// simulator state tracks the leader's event stream as a lane, skipping the
+// kernel numerics without changing a single counter; a point whose paging
+// policy is provably equivalent to an earlier point's (base4k over a 4 KB
+// layout, thp with every chunk promoted) copies that point's outcome
+// instead of running a lane. --strategy= picks the execution strategy
+// explicitly: multilane (the default via auto), analytic (recorded leader,
+// compiled-plan fast-forward followers), recorded (record-then-replay trace
+// store path), live (no traces at all); every choice produces
+// bit-identical grids. The historical --no-trace/--no-multilane/
+// --no-analytic flags remain as aliases that print their --strategy=
+// equivalent.
 // --replay-check runs every recordable task live, interpreted-replayed and
 // analytic-replayed, and verifies three-way bit-identity across the grid.
 // --store-dir= layers the disk-persistent result store under the cache
@@ -136,7 +139,8 @@ int main(int argc, char** argv) {
   if (spec.trace_backed) {
     std::cout << "streams: " << prov.lane + prov.analytic << " lanes in "
               << cold.fused_groups << " fused groups (" << prov.analytic
-              << " analytic), " << prov.record << " recorded, "
+              << " analytic), " << prov.fold << " folded, " << prov.record
+              << " recorded, "
               << prov.replay << " replayed, " << prov.live << " live";
     if (prov.fallback > 0) {
       std::cout << ", " << prov.fallback << " trace fallbacks";
@@ -263,6 +267,7 @@ int main(int argc, char** argv) {
     w.field("replayed", static_cast<std::uint64_t>(prov.replay));
     w.field("analytic", static_cast<std::uint64_t>(prov.analytic));
     w.field("lanes", static_cast<std::uint64_t>(prov.lane));
+    w.field("folded", static_cast<std::uint64_t>(prov.fold));
     w.field("fallbacks", static_cast<std::uint64_t>(prov.fallback));
     w.field("live", static_cast<std::uint64_t>(prov.live));
     w.end_object();
@@ -304,7 +309,7 @@ int main(int argc, char** argv) {
       if (fresh) group_order.push_back(stream);
       ++it->second.first;
       if (r.trace_source == "analytic" || r.trace_source == "lane" ||
-          r.trace_source == "replay") {
+          r.trace_source == "fold" || r.trace_source == "replay") {
         ++it->second.second;
       }
     }
@@ -378,6 +383,7 @@ int main(int argc, char** argv) {
     b.begin_object();
     b.field("fused_groups", static_cast<std::uint64_t>(cold.fused_groups));
     b.field("fused_lanes", static_cast<std::uint64_t>(cold.fused_lanes));
+    b.field("folded_lanes", static_cast<std::uint64_t>(cold.folded_lanes));
     b.field("replay_fallbacks",
             static_cast<std::uint64_t>(cold.replay_fallbacks));
     b.field("fusable_points", fusable_points);
@@ -393,8 +399,9 @@ int main(int argc, char** argv) {
     b.field("remote_steals", cold.remote_steals + warm.remote_steals);
     // Per-stream-group occupancy. A group is one address stream: kernel ×
     // class × threads × page kind; "offloaded" counts its points served
-    // from the stream as analytic/lane/replay followers; "fusable" groups
-    // (points ≥ 2) have capacity points−1 (the source run is structural).
+    // from the stream as analytic/lane/fold/replay followers; "fusable"
+    // groups (points ≥ 2) have capacity points−1 (the source run is
+    // structural).
     b.key("stream_groups");
     b.begin_array();
     for (const std::string& stream : group_order) {

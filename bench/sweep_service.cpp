@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");
   cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
   cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
-  cfg.scheduler.workers = static_cast<unsigned>(opts.get_int("workers", 0));
+  cfg.scheduler.workers = bench::workers_from(opts);
   cfg.scheduler.trace_store_bytes =
       MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
   cfg.scheduler.strategy = bench::strategy_from(opts);

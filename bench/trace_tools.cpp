@@ -122,7 +122,9 @@ int cmd_replay(const Options& opts) {
   cfg.code_page_kind = pages_from(opts, "code-pages");
   // For a single-file replay the strategy axis collapses to analytic
   // (compiled plan + fast-forward) vs recorded (interpreted); the shared
-  // parser still handles the deprecated --no-analytic alias.
+  // parser still handles the deprecated --no-analytic alias. A lone replay
+  // has no lanes to fuse, so auto keeps this tool's compiled-plan default
+  // rather than the sweep default (multilane).
   switch (bench::strategy_from(opts)) {
     case exec::Strategy::Auto:
     case exec::Strategy::Analytic:

@@ -15,7 +15,7 @@
 // `strategy` directly:
 //
 //   multilane   analytic    →  Strategy
-//   true        true           Auto      (the old default; resolves Analytic)
+//   true        true           Auto      (the default; resolves Multilane)
 //   false       any            Recorded  (store-based record/replay schedule)
 //   true        false          Multilane (fused lanes off a live leader)
 //

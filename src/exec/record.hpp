@@ -59,7 +59,9 @@ struct RunRecord {
   /// (live run that also captured a trace), "replay" (interpreted trace
   /// replay), "analytic" (compiled-plan replay with the analytic
   /// fast-forward tier), "lane" (lane of a fused multi-lane group tracking
-  /// a live leader) or "fallback" (stored trace rejected, re-run live).
+  /// a live leader), "fold" (outcome copied from a point of the same fused
+  /// group whose paging policy is provably equivalent) or "fallback"
+  /// (stored trace rejected, re-run live).
   /// Scheduling decides which task takes which path, so this is provenance,
   /// not part of the deterministic result.
   std::string trace_source = "live";

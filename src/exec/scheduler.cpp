@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "exec/json.hpp"
+#include "paging/policy.hpp"
 #include "prof/profile.hpp"
 #include "trace/lane.hpp"
 #include "trace/recorder.hpp"
@@ -207,6 +208,7 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("store_bytes_written", store.bytes_written);
     w.field("fused_groups", static_cast<std::uint64_t>(fused_groups));
     w.field("fused_lanes", static_cast<std::uint64_t>(fused_lanes));
+    w.field("folded_lanes", static_cast<std::uint64_t>(folded_lanes));
     w.field("replay_fallbacks", static_cast<std::uint64_t>(replay_fallbacks));
     w.field("domains", domains);
     w.field("topology", topology);
@@ -453,6 +455,7 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   }
   result.fused_groups = fused.groups.load();
   result.fused_lanes = fused.lanes.load();
+  result.folded_lanes = fused.folds.load();
   result.replay_fallbacks = fused.fallbacks.load();
   const trace::SubstratePool::Stats sub_after = substrate_pool_.stats();
   result.substrate_builds = sub_after.builds - sub_before.builds;
@@ -825,10 +828,32 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
 
   trace::SubstratePool::Lease substrate = substrate_pool_.checkout(
       lead_task.kernel, lead_task.klass, lead_task.page_kind);
+
+  // Fold (DESIGN.md §8): a point whose content key under its canonical
+  // paging policy matches an earlier point's computes the same counters by
+  // proof (paging::canonical_policy over the group's substrate), so only
+  // the first point per fold key becomes the leader or a lane; the rest
+  // copy its outcome once the group has run.
+  std::vector<std::size_t> runs;
+  std::vector<std::pair<std::size_t, std::size_t>> folded;  // (point, source)
+  {
+    std::unordered_map<std::string, std::size_t> first;
+    for (const std::size_t i : todo) {
+      RunTask canon = planned[i];
+      canon.paging = paging::canonical_policy(canon.paging, substrate->space());
+      const auto [it, fresh] = first.try_emplace(cache_key(canon), i);
+      if (fresh) {
+        runs.push_back(i);
+      } else {
+        folded.emplace_back(i, it->second);
+      }
+    }
+  }
+
   trace::LaneArena arena;
   trace::LaneSet lanes(*substrate, lead_task.threads);
-  for (std::size_t j = 1; j < todo.size(); ++j) {
-    const std::size_t i = todo[j];
+  for (std::size_t j = 1; j < runs.size(); ++j) {
+    const std::size_t i = runs[j];
     try {
       lanes.add_lane(replay_config(planned[i], false));
       lane_idx.push_back(i);
@@ -885,6 +910,29 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
     // The lanes saw a partial stream; discard them and isolate the failure
     // to the leader — every follower gets its own untainted run.
     solos.insert(solos.end(), lane_idx.begin(), lane_idx.end());
+  }
+
+  // A folded point shares its source's fate: it copies the outcome of a
+  // leader or lane that completed, and runs solo wherever its source did
+  // (a failed leader, a platform the lane did not fit).
+  for (const auto& [i, source] : folded) {
+    if (!lead_ok ||
+        std::find(solos.begin(), solos.end(), source) != solos.end()) {
+      solos.push_back(i);
+      continue;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    // Equal fold keys leave only the policy to tell the two points apart,
+    // so the copy restamps just the policy's echo and the content key.
+    const RunRecord own = base_record(planned[i]);
+    RunRecord record = records[source];
+    record.paging = own.paging;
+    record.key_digest = own.key_digest;
+    record.trace_source = "fold";
+    record.wall_ms = ms_since(t1);
+    commit(cache_key(planned[i]), record);
+    records[i] = std::move(record);
+    fused.folds.fetch_add(1);
   }
   for (const std::size_t i : solos) run_solo(i);
 }

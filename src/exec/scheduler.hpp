@@ -84,6 +84,10 @@ struct SweepResult {
   // or without fusion).
   std::size_t fused_groups = 0;     ///< stream groups served multi-lane
   std::size_t fused_lanes = 0;      ///< follower grid points covered as lanes
+  /// Grid points of a fused group whose paging policy is provably
+  /// equivalent to an earlier point's (paging::canonical_policy): they copy
+  /// that point's outcome instead of running as lanes (trace_source "fold").
+  std::size_t folded_lanes = 0;
   std::size_t replay_fallbacks = 0; ///< stored traces rejected → re-run live
 
   // Topology/substrate provenance of THIS sweep (host-side).
@@ -128,7 +132,7 @@ class Scheduler {
     std::size_t trace_store_bytes = MiB(512);
     /// How trace-backed tasks execute (strategy.hpp). Results are
     /// bit-identical under every choice; Auto currently resolves to
-    /// Analytic. Individual run() calls may override.
+    /// Multilane. Individual run() calls may override.
     Strategy strategy = Strategy::Auto;
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
@@ -198,6 +202,7 @@ class Scheduler {
   struct FusedStats {
     std::atomic<std::size_t> groups{0};
     std::atomic<std::size_t> lanes{0};
+    std::atomic<std::size_t> folds{0};
     std::atomic<std::size_t> fallbacks{0};
     std::mutex mu;
     std::vector<SweepResult::GroupSharding> sharding;
@@ -219,10 +224,12 @@ class Scheduler {
   /// Executes one address-stream group as a single fused job: cached points
   /// are served first; if the store already holds the stream, the rest run
   /// as lanes of one MultiReplayDriver pass; otherwise the first uncached
-  /// point runs live with a LaneFanout feeding the others as lanes. Any
-  /// point the group strategy cannot serve (lane rejected, leader failed,
-  /// trace rejected with no leader to piggyback on) falls back to a solo
-  /// live run — failure isolation is per grid point, exactly as unfused.
+  /// point runs live with a LaneFanout feeding the others as lanes, and a
+  /// point whose paging policy folds onto the leader's or a lane's copies
+  /// that outcome. Any point the group strategy cannot serve (lane
+  /// rejected, leader failed, trace rejected with no leader to piggyback
+  /// on) falls back to a solo live run — failure isolation is per grid
+  /// point, exactly as unfused.
   void run_fused_group(const std::vector<std::size_t>& group,
                        const std::vector<RunTask>& planned,
                        std::vector<RunRecord>& records, const std::string& key,
@@ -257,7 +264,7 @@ class Scheduler {
   bool custom_runner_ = false;
   /// Strategy of the sweep currently inside run() — read by the default
   /// runner and the fused-group jobs (run() is not reentrant, see above).
-  Strategy active_ = Strategy::Analytic;
+  Strategy active_ = Strategy::Multilane;
   ResultCache cache_;
   std::unique_ptr<DiskResultStore> disk_store_;
   trace::TraceStore trace_store_;

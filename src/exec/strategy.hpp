@@ -15,8 +15,10 @@
 //             every follower tracks the event stream as a lane (interpreted)
 //   analytic  multilane + compiled TracePlans: followers replay the plan
 //             with the closed-form fast-forward tier
-//   auto      let the scheduler pick (currently: analytic, the fastest
-//             identity-preserving schedule)
+//   auto      let the scheduler pick (currently: multilane — on the
+//             class-S paging grid it beats analytic on both cold wall and
+//             peak RSS, whose plan compiles and plan memory cost more than
+//             the fast-forward saves; EXPERIMENTS.md has the matrix)
 #pragma once
 
 #include <optional>
@@ -51,7 +53,7 @@ inline std::optional<Strategy> strategy_from_name(std::string_view name) {
 /// Auto resolves to the scheduler's current best identity-preserving
 /// schedule. Kept in one place so "what does auto mean" has one answer.
 constexpr Strategy resolve_strategy(Strategy s) {
-  return s == Strategy::Auto ? Strategy::Analytic : s;
+  return s == Strategy::Auto ? Strategy::Multilane : s;
 }
 
 }  // namespace lpomp::exec

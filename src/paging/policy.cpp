@@ -120,4 +120,27 @@ mem::WalkResult PagingModel::walk(const mem::AddressSpace& space, vaddr_t addr,
   return w;
 }
 
+PolicySpec canonical_policy(const PolicySpec& spec,
+                            const mem::AddressSpace& space) {
+  if (spec.policy == Policy::thp) {
+    const PagingModel model(spec);
+    for (const mem::Region& r : space.regions()) {
+      if (r.length == 0) continue;
+      const std::uint64_t last = (r.base + r.length - 1) >> kLargePageShift;
+      for (std::uint64_t c = r.base >> kLargePageShift; c <= last; ++c) {
+        if (!model.thp_promoted(c)) return spec;
+      }
+    }
+    return PolicySpec{Policy::hugetlb2m, {}};
+  }
+  PolicySpec out{spec.policy, {}};
+  if (spec.policy == Policy::base4k) {
+    for (const mem::Region& r : space.regions()) {
+      if (r.kind != PageKind::small4k) return out;
+    }
+    out.policy = Policy::native;
+  }
+  return out;
+}
+
 }  // namespace lpomp::paging

@@ -149,4 +149,24 @@ class PagingModel {
   mutable bool memo_promoted_ = false;
 };
 
+/// The canonical policy that yields counters identical to `spec` on every
+/// access stream over `space` (DESIGN.md §11, "Provably equivalent
+/// policies"). Two rules, each proven from the layout alone:
+///
+///   base4k → native     when every region of `space` is 4 KB: both
+///                       overlays then return {addr >> 12, 4K} with the
+///                       layout's own walk, so nothing is reshaped;
+///   thp    → hugetlb2m  when thp_promoted() holds for every 2 MB chunk
+///                       overlapping a region: every data access lies in a
+///                       mapped region (its walk asserts so), and in a
+///                       promoted chunk thp translates and walks exactly as
+///                       hugetlb2m does. Code fetches bypass the overlay.
+///
+/// Anything else is returned unchanged, with the ThpParams of a non-thp
+/// policy reset to the defaults (they never reach its results), so two
+/// equivalent specs compare equal. Pure: the result depends only on the
+/// arguments.
+PolicySpec canonical_policy(const PolicySpec& spec,
+                            const mem::AddressSpace& space);
+
 }  // namespace lpomp::paging

@@ -5,6 +5,9 @@
 #pragma once
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -53,14 +56,30 @@ class Options {
     return def;
   }
 
+  /// Strict: the whole value must be a decimal integer, else the process
+  /// exits 2 naming what the flag accepts — `--workers=abc` never silently
+  /// becomes the default.
   long get_int(const std::string& key, long def) const {
     const std::string v = get(key, std::to_string(def));
-    return std::strtol(v.c_str(), nullptr, 10);
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno == ERANGE) {
+      reject(key, v, "a decimal integer");
+    }
+    return n;
   }
 
+  /// Strict like get_int: the whole value must be a finite number.
   double get_double(const std::string& key, double def) const {
     const std::string v = get(key, std::to_string(def));
-    return std::strtod(v.c_str(), nullptr);
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(x)) {
+      reject(key, v, "a finite number");
+    }
+    return x;
   }
 
   bool get_flag(const std::string& key, bool def = false) const {
@@ -72,6 +91,13 @@ class Options {
   bool has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
+  [[noreturn]] static void reject(const std::string& key, const std::string& v,
+                                  const char* expected) {
+    std::fprintf(stderr, "invalid --%s=%s (expected %s)\n", key.c_str(),
+                 v.c_str(), expected);
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

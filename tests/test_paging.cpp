@@ -8,7 +8,8 @@
 // cache's hit/LRU/flush behaviour, the fingerprint's conditional paging
 // segment, and the end-to-end guarantee the subsystem was built around:
 // one grid point per policy is bit-identical under all four execution
-// strategies.
+// strategies — plus the equivalence proofs the fused groups fold lanes by
+// (paging::canonical_policy) and the default strategy that folds them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +26,7 @@
 #include "sim/processor_spec.hpp"
 #include "support/types.hpp"
 #include "tlb/pwc.hpp"
+#include "trace/lane.hpp"
 
 namespace lpomp {
 namespace {
@@ -361,6 +363,185 @@ TEST(PagingStrategyIdentity, OneGridPointPerPolicyAllStrategiesAgree) {
     } else {
       EXPECT_EQ(json, reference) << strategy_name(s);
     }
+  }
+}
+
+// --- provably equivalent policies (the fold) --------------------------------
+
+/// (2 MB chunks overlapping a mapped region, of which thp promotes).
+std::pair<unsigned, unsigned> thp_chunks(const mem::AddressSpace& space,
+                                         const paging::PolicySpec& thp) {
+  const paging::PagingModel model(thp);
+  unsigned chunks = 0;
+  unsigned promoted = 0;
+  for (const mem::Region& r : space.regions()) {
+    const std::uint64_t last = (r.base + r.length - 1) >> kLargePageShift;
+    for (std::uint64_t c = r.base >> kLargePageShift; c <= last; ++c) {
+      ++chunks;
+      promoted += model.thp_promoted(c) ? 1 : 0;
+    }
+  }
+  return {chunks, promoted};
+}
+
+TEST(CanonicalPolicy, ClassSFourKbLayoutFoldsBase4kAndThp) {
+  const trace::ReplaySubstrate sub(npb::Kernel::CG, npb::Klass::S,
+                                   PageKind::small4k);
+  const auto canon = [&](paging::Policy p) {
+    return paging::canonical_policy(make_policy(p), sub.space()).policy;
+  };
+  EXPECT_EQ(canon(paging::Policy::native), paging::Policy::native);
+  EXPECT_EQ(canon(paging::Policy::base4k), paging::Policy::native);
+  EXPECT_EQ(canon(paging::Policy::hugetlb2m), paging::Policy::hugetlb2m);
+  EXPECT_EQ(canon(paging::Policy::huge1g), paging::Policy::huge1g);
+  EXPECT_EQ(canon(paging::Policy::thp), paging::Policy::hugetlb2m);
+  const auto [chunks, promoted] =
+      thp_chunks(sub.space(), make_policy(paging::Policy::thp));
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(promoted, chunks);
+}
+
+TEST(CanonicalPolicy, TwoMbLayoutKeepsBase4kDistinct) {
+  const trace::ReplaySubstrate sub(npb::Kernel::CG, npb::Klass::S,
+                                   PageKind::large2m);
+  const paging::PolicySpec base4k = make_policy(paging::Policy::base4k);
+  EXPECT_EQ(paging::canonical_policy(base4k, sub.space()), base4k);
+}
+
+// A non-thp policy's ThpParams never reach its results, so the canonical
+// form drops them: equivalent specs must compare equal to share a fold key.
+TEST(CanonicalPolicy, NonThpPoliciesDropThpParams) {
+  const trace::ReplaySubstrate sub(npb::Kernel::CG, npb::Klass::S,
+                                   PageKind::small4k);
+  paging::PolicySpec huge = make_policy(paging::Policy::hugetlb2m);
+  huge.thp.frag_seed = 42;
+  EXPECT_EQ(paging::canonical_policy(huge, sub.space()),
+            make_policy(paging::Policy::hugetlb2m));
+}
+
+// Class W spans more 2 MB chunks than class S, and the fragmentation model
+// leaves one of them 4 KB: thp is then a genuinely distinct policy.
+TEST(CanonicalPolicy, ClassWSubstratesKeepThpDistinct) {
+  const paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  const struct {
+    npb::Kernel kernel;
+    unsigned chunks;
+    unsigned promoted;
+  } cases[] = {{npb::Kernel::CG, 7, 6}, {npb::Kernel::MG, 6, 5}};
+  for (const auto& c : cases) {
+    const trace::ReplaySubstrate sub(c.kernel, npb::Klass::W,
+                                     PageKind::small4k);
+    const auto [chunks, promoted] = thp_chunks(sub.space(), thp);
+    EXPECT_EQ(chunks, c.chunks) << npb::kernel_name(c.kernel);
+    EXPECT_EQ(promoted, c.promoted) << npb::kernel_name(c.kernel);
+    EXPECT_EQ(paging::canonical_policy(thp, sub.space()), thp)
+        << npb::kernel_name(c.kernel);
+  }
+}
+
+TEST(CanonicalPolicy, UnpromotingThpParamsKeepThpDistinct) {
+  const trace::ReplaySubstrate sub(npb::Kernel::CG, npb::Klass::S,
+                                   PageKind::small4k);
+  paging::PolicySpec thp = make_policy(paging::Policy::thp);
+  thp.thp.frag_base = 0.6;  // promotion probability at most 0.4 per chunk
+  const auto [chunks, promoted] = thp_chunks(sub.space(), thp);
+  ASSERT_LT(promoted, chunks);
+  EXPECT_EQ(paging::canonical_policy(thp, sub.space()), thp);
+}
+
+TEST(DefaultStrategy, AutoResolvesToMultilane) {
+  static_assert(exec::resolve_strategy(exec::Strategy::Auto) ==
+                exec::Strategy::Multilane);
+  exec::Scheduler::Config cfg;
+  cfg.workers = 1;
+  EXPECT_EQ(exec::Scheduler(cfg).run(std::vector<exec::RunTask>{}).strategy,
+            exec::Strategy::Multilane);
+}
+
+// The benchmark's paging grid (sweep_all --klass=S --paging=all five) under
+// the default strategy: every record byte-identical to a one-worker live
+// run, with the fold serving 4 of each 10-point group — base4k over the
+// 4 KB layout folds onto native, thp (every class-S chunk promoted) onto
+// hugetlb2m — 112 of the 280 points.
+TEST(PagingFold, DefaultStrategyPagingGridMatchesLiveWith112Folds) {
+  exec::SweepSpec spec = exec::SweepSpec::figure4(npb::Klass::S);
+  spec.page_kinds = {PageKind::small4k};
+  spec.paging_policies = {make_policy(paging::Policy::native),
+                          make_policy(paging::Policy::base4k),
+                          make_policy(paging::Policy::hugetlb2m),
+                          make_policy(paging::Policy::huge1g),
+                          make_policy(paging::Policy::thp)};
+
+  exec::Scheduler::Config live_cfg;
+  live_cfg.workers = 1;
+  live_cfg.strategy = exec::Strategy::Live;
+  const exec::SweepResult live = exec::Scheduler(live_cfg).run(spec);
+
+  exec::Scheduler::Config cfg;
+  cfg.workers = 2;
+  const exec::SweepResult fused = exec::Scheduler(cfg).run(spec);
+  ASSERT_EQ(fused.records.size(), 280u);
+  EXPECT_EQ(fused.strategy, exec::Strategy::Multilane);
+  EXPECT_EQ(fused.failed(), 0u);
+  EXPECT_EQ(fused.to_json(false), live.to_json(false));
+
+  std::size_t folds = 0;
+  for (const exec::RunRecord& r : fused.records) {
+    if (r.trace_source != "fold") continue;
+    ++folds;
+    EXPECT_TRUE(r.paging == "base4k" || r.paging == "thp") << r.paging;
+  }
+  EXPECT_EQ(folds, 112u);
+  EXPECT_EQ(fused.folded_lanes, 112u);
+}
+
+// Folded points follow their source: a point folded onto a lane that does
+// not fit its platform, or onto a failed leader, runs solo exactly like that
+// lane would — failure stays isolated per grid point and every surviving
+// record still equals its live counterpart.
+TEST(PagingFold, FoldedPointsFollowTheirSourceToSolo) {
+  const auto task = [](const sim::ProcessorSpec& spec, paging::Policy p) {
+    exec::RunTask t;
+    t.klass = npb::Klass::S;
+    t.threads = 8;  // the Xeon has 8 contexts, the Opteron 4
+    t.spec = spec;
+    t.paging = make_policy(p);
+    t.trace_backed = true;
+    return t;
+  };
+  const sim::ProcessorSpec xeon = sim::ProcessorSpec::xeon_ht();
+  const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
+  // Group 1: Xeon leader, its fold, an Opteron lane that cannot fit, that
+  // lane's fold. Group 2 (leader first, so it fails): the same, reversed.
+  const std::vector<std::vector<exec::RunTask>> groups = {
+      {task(xeon, paging::Policy::native), task(xeon, paging::Policy::base4k),
+       task(opteron, paging::Policy::native),
+       task(opteron, paging::Policy::base4k)},
+      {task(opteron, paging::Policy::native),
+       task(opteron, paging::Policy::base4k),
+       task(xeon, paging::Policy::native), task(xeon, paging::Policy::base4k)}};
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    exec::Scheduler::Config cfg;
+    cfg.workers = 2;
+    const exec::SweepResult result = exec::Scheduler(cfg).run(groups[g]);
+    ASSERT_EQ(result.records.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const exec::RunRecord& r = result.records[i];
+      const bool fits = r.platform == xeon.name;
+      EXPECT_EQ(r.ok, fits) << g << "/" << i;
+      if (!fits) {
+        EXPECT_FALSE(r.error.empty());
+        continue;
+      }
+      exec::RunTask solo = groups[g][i];
+      solo.trace_backed = false;
+      EXPECT_TRUE(r.same_result(exec::Scheduler::execute_task(solo)))
+          << g << "/" << i;
+    }
+    // Only a completed leader hands its outcome on.
+    EXPECT_EQ(result.folded_lanes, g == 0 ? 1u : 0u);
+    EXPECT_EQ(result.records[1].trace_source, g == 0 ? "fold" : "live");
+    EXPECT_EQ(result.records[3].trace_source, "live");
   }
 }
 

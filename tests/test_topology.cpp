@@ -268,10 +268,13 @@ TEST(TopologyIdentity, PagingPolicySweepMatchesSingleWorker) {
 // The substrate pool must actually be exercised by a sweep: the figure-4
 // grid replays three thread counts per (kernel, page kind), and the key
 // excludes the thread count, so reuse is guaranteed even on one worker.
+// Sharding decisions exist only where lanes replay a stored trace in
+// shards — the analytic schedule — so the strategy is pinned to it.
 TEST(TopologyIdentity, SweepReportsSubstrateReuseAndShardingDecisions) {
   ExperimentEngine::Config cfg;
   cfg.workers = 1;
   cfg.topology = Topology::flat(1);
+  cfg.strategy = Strategy::Analytic;
   ExperimentEngine engine(cfg);
   const SweepResult result = engine.run(small_sweep());
   EXPECT_EQ(result.failed(), 0u);

@@ -148,17 +148,20 @@ TEST(TraceReplay, Figure4GridIdentity) {
 }
 
 // End-to-end through the engine: a trace-backed sweep equals a live sweep
-// record-for-record, under every execution strategy — the default analytic
-// schedule (leader records, followers fast-forward the compiled plan), the
-// live-leader fused multi-lane schedule (Strategy::Multilane), and the
-// store-based record/replay schedule (Strategy::Recorded).
+// record-for-record, under every execution strategy — the analytic schedule
+// (Strategy::Analytic: leader records, followers fast-forward the compiled
+// plan), the live-leader fused multi-lane schedule (Strategy::Multilane,
+// the default), and the store-based record/replay schedule
+// (Strategy::Recorded).
 TEST(TraceReplay, EngineSweepMatchesLive) {
   exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 4);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.platforms.push_back(sim::ProcessorSpec::xeon_ht());
 
   spec.trace_backed = true;
-  exec::ExperimentEngine analytic_eng;
+  exec::ExperimentEngine::Config analytic_cfg;
+  analytic_cfg.strategy = exec::Strategy::Analytic;
+  exec::ExperimentEngine analytic_eng(analytic_cfg);
   const exec::SweepResult analytic = analytic_eng.run(spec);
 
   exec::ExperimentEngine::Config lane_cfg;
