@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
     tasks.push_back(task_for(8, PageKind::large2m, flush));
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(tasks);
+  exec::Scheduler scheduler = bench::make_scheduler(opts);
+  const exec::SweepResult result = scheduler.run(tasks);
   bench::require_all_verified(result);
 
   const double t4_4k = result.records[0].simulated_seconds;

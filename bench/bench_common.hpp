@@ -12,7 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
+#include "bench/cli.hpp"
+#include "exec/scheduler.hpp"
 #include "npb/npb.hpp"
 #include "paging/policy.hpp"
 #include "support/format.hpp"
@@ -64,64 +65,6 @@ inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   return out;
 }
 
-/// Parses --klass=; an unknown class exits 2 with the valid set instead of
-/// silently running class R.
-inline npb::Klass klass_by_name(const std::string& name) {
-  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
-                       npb::Klass::B, npb::Klass::R}) {
-    if (name == npb::klass_name(k)) return k;
-  }
-  std::cerr << "unknown class '" << name
-            << "' in --klass= (valid: S,W,A,B,R)\n";
-  std::exit(2);
-}
-
-/// Canonical comma-joined kernel list ("BT,CG,FT,SP,MG,GUPS,GT,PC") — the
-/// --kernels= default and the valid set shown on a parse error.
-inline std::string all_kernel_names() {
-  std::string names;
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (!names.empty()) names += ',';
-    names += npb::kernel_name(k);
-  }
-  return names;
-}
-
-/// Parses --kernels= as an exact comma-separated list ("CG,FT"). Unknown or
-/// empty tokens abort with a clear message instead of being silently
-/// dropped; kernels run in canonical (all_kernels) order, deduplicated.
-inline std::vector<npb::Kernel> kernels_from(const Options& opts) {
-  const std::string list = opts.get("kernels", all_kernel_names());
-  std::vector<bool> wanted(npb::all_kernels().size(), false);
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(start, comma - start);
-    start = comma + 1;
-    bool known = false;
-    const std::vector<npb::Kernel> all = npb::all_kernels();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (token == npb::kernel_name(all[i])) {
-        wanted[i] = true;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::cerr << "unknown kernel '" << token << "' in --kernels=" << list
-                << " (valid: " << all_kernel_names() << ")\n";
-      std::exit(2);
-    }
-  }
-  std::vector<npb::Kernel> out;
-  const std::vector<npb::Kernel> all = npb::all_kernels();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (wanted[i]) out.push_back(all[i]);
-  }
-  return out;
-}
-
 /// Runtime config for one simulated run.
 inline core::RuntimeConfig make_config(const sim::ProcessorSpec& spec,
                                        unsigned threads, PageKind kind) {
@@ -155,38 +98,28 @@ inline std::string improvement(double t4k, double t2m) {
 
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
 
-/// The sweep's execution strategy from --strategy=live|recorded|multilane|
-/// analytic|auto (default auto). The historical spellings remain as
-/// back-compat aliases — --no-trace → live, --no-multilane → recorded,
-/// --no-analytic → multilane — each printing the --strategy= equivalent so
-/// scripts migrate themselves. Results are bit-identical under every
-/// strategy.
+/// The sweep's execution strategy from --strategy=live|multilane|auto
+/// (default auto). Results are bit-identical under every strategy. A
+/// retired spelling exits 2 instead of silently running the default:
+/// --strategy=recorded|analytic like any unknown name, and the old
+/// --no-trace/--no-multilane/--no-analytic flags, which Options would
+/// otherwise ignore.
 inline exec::Strategy strategy_from(const Options& opts) {
-  const std::string name = opts.get("strategy", "");
-  if (!name.empty()) {
-    const std::optional<exec::Strategy> s = exec::strategy_from_name(name);
-    if (!s) {
-      std::cerr << "unknown --strategy=" << name
-                << " (valid: live, recorded, multilane, analytic, auto)\n";
+  for (const char* retired : {"no-trace", "no-multilane", "no-analytic"}) {
+    if (!opts.get(retired, "").empty()) {
+      std::cerr << "--" << retired << " is retired; use --strategy= ("
+                << exec::kStrategyNames << ")\n";
       std::exit(2);
     }
-    return *s;
   }
-  const bool no_trace = opts.get_flag("no-trace");
-  const bool no_multilane = opts.get_flag("no-multilane");
-  const bool no_analytic = opts.get_flag("no-analytic");
-  if (!no_trace && !no_multilane && !no_analytic) return exec::Strategy::Auto;
-  const exec::Strategy s = no_trace        ? exec::Strategy::Live
-                           : no_multilane  ? exec::Strategy::Recorded
-                                           : exec::Strategy::Multilane;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::cerr << "note: --no-trace/--no-multilane/--no-analytic are "
-                 "deprecated; this invocation is --strategy="
-              << exec::strategy_name(s) << "\n";
+  const std::string name = opts.get("strategy", "auto");
+  const std::optional<exec::Strategy> s = exec::strategy_from_name(name);
+  if (!s) {
+    std::cerr << "unknown --strategy=" << name << " (valid: "
+              << exec::kStrategyNames << ")\n";
+    std::exit(2);
   }
-  return s;
+  return *s;
 }
 
 /// --workers= / LPOMP_WORKERS: 0 → one per host core. A negative count
@@ -201,20 +134,14 @@ inline unsigned workers_from(const Options& opts) {
   return static_cast<unsigned>(workers);
 }
 
-/// Engine sized from --workers= (workers_from above);
-/// --trace-store-mb= bounds the trace store backing trace-backed sweeps.
-/// The default must fit the largest single class-R stream (a 1-thread
-/// BT/FT trace runs to several hundred MB): a trace larger than the whole
-/// budget is never stored, and its second use silently re-records.
+/// Scheduler sized from --workers= (workers_from above);
 /// --strategy= picks the execution strategy (strategy_from above);
 /// --store-dir= layers the disk-persistent result store under the LRU so
 /// results survive the process. Results are bit-identical under any
 /// combination.
-inline exec::ExperimentEngine make_engine(const Options& opts) {
-  exec::ExperimentEngine::Config cfg;
+inline exec::Scheduler make_scheduler(const Options& opts) {
+  exec::Scheduler::Config cfg;
   cfg.workers = workers_from(opts);
-  cfg.trace_store_bytes =
-      MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
   cfg.strategy = strategy_from(opts);
   cfg.store_dir = opts.get("store-dir", "");
   // --topology=SxC fixes the pool's socket × core shape (and its worker
@@ -229,39 +156,25 @@ inline exec::ExperimentEngine make_engine(const Options& opts) {
       std::exit(2);
     }
   }
-  return exec::ExperimentEngine(cfg);
+  return exec::Scheduler(cfg);
 }
 
-/// Trace provenance counts of a sweep: how many records came from each of
-/// "live", "record", "replay" (interpreted), "analytic" (compiled-plan
-/// fast-forward replay), "lane" (fused multi-lane follower), "fold" (copied
-/// from a provably equivalent point of its group) and "fallback" (rejected
-/// trace re-run live).
+/// Provenance counts of a sweep: how many records ran "live" (leaders and
+/// solo runs), rode a fused group as a "lane", or were copied from a
+/// provably equivalent point of their group ("fold").
 struct TraceProvenance {
   std::size_t live = 0;
-  std::size_t record = 0;
-  std::size_t replay = 0;
-  std::size_t analytic = 0;
   std::size_t lane = 0;
   std::size_t fold = 0;
-  std::size_t fallback = 0;
 };
 
 inline TraceProvenance trace_provenance(const exec::SweepResult& result) {
   TraceProvenance p;
   for (const exec::RunRecord& r : result.records) {
-    if (r.trace_source == "record") {
-      ++p.record;
-    } else if (r.trace_source == "replay") {
-      ++p.replay;
-    } else if (r.trace_source == "analytic") {
-      ++p.analytic;
-    } else if (r.trace_source == "lane") {
+    if (r.trace_source == "lane") {
       ++p.lane;
     } else if (r.trace_source == "fold") {
       ++p.fold;
-    } else if (r.trace_source == "fallback") {
-      ++p.fallback;
     } else {
       ++p.live;
     }

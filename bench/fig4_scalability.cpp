@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
     spec.paging_policies = bench::paging_from(opts);
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(spec);
+  exec::Scheduler scheduler = bench::make_scheduler(opts);
+  const exec::SweepResult result = scheduler.run(spec);
   bench::require_all_verified(result);
 
   std::cout << "Figure 4: Scalability with "

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
     spec.paging_policies = bench::paging_from(opts);
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
-  const exec::SweepResult result = engine.run(spec);
+  exec::Scheduler scheduler = bench::make_scheduler(opts);
+  const exec::SweepResult result = scheduler.run(spec);
   bench::require_all_verified(result);
 
   const std::string opteron = sim::ProcessorSpec::opteron270().name;

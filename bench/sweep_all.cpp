@@ -9,22 +9,19 @@
 //     extra — the content-keyed cache serves them);
 //   * Figure 3 — aggregate ITLB miss rate at 4 threads (negligible).
 //
-// The sweep is trace-backed by default: each unique address stream
-// (kernel × class × threads × page kind) is served as one fused group —
-// the first grid point runs live and every other platform/policy point's
-// simulator state tracks the leader's event stream as a lane, skipping the
-// kernel numerics without changing a single counter; a point whose paging
-// policy is provably equivalent to an earlier point's (base4k over a 4 KB
-// layout, thp with every chunk promoted) copies that point's outcome
-// instead of running a lane. --strategy= picks the execution strategy
-// explicitly: multilane (the default via auto), analytic (recorded leader,
-// compiled-plan fast-forward followers), recorded (record-then-replay trace
-// store path), live (no traces at all); every choice produces
-// bit-identical grids. The historical --no-trace/--no-multilane/
-// --no-analytic flags remain as aliases that print their --strategy=
-// equivalent.
-// --replay-check runs every recordable task live, interpreted-replayed and
-// analytic-replayed, and verifies three-way bit-identity across the grid.
+// The sweep is fused by default: each unique address stream (kernel ×
+// class × threads × page kind) is served as one group — the first grid
+// point runs live and every other platform/policy point's simulator state
+// tracks the leader's event stream as a lane, skipping the kernel numerics
+// without changing a single counter; a point whose paging policy is
+// provably equivalent to an earlier point's (base4k over a 4 KB layout,
+// thp with every chunk promoted) copies that point's outcome instead of
+// running a lane. --strategy= picks the execution strategy explicitly:
+// multilane (the default via auto) or live (every point runs on its own);
+// both produce bit-identical grids.
+// --replay-check records each address stream once and verifies, for every
+// task, that a live run, an interpreted replay and a compiled-plan replay
+// of the stream agree bit for bit — a diagnostic of the trace library.
 // --store-dir= layers the disk-persistent result store under the cache
 // (the same store the sweep daemon serves from).
 //
@@ -45,51 +42,80 @@
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
 #include "serve/client.hpp"
+#include "trace/plan.hpp"
+#include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 
 using namespace lpomp;
 
 namespace {
 
-/// --replay-check: for every task, a forced live run, a trace-store-fed
-/// interpreted run (record on first sight of the stream, replay
-/// afterwards) and an analytic compiled-plan replay must all agree on
-/// every deterministic counter. Returns the number of mismatches.
-std::size_t replay_check(const std::vector<exec::RunTask>& tasks,
-                         std::size_t trace_store_bytes) {
-  trace::TraceStore store(trace_store_bytes);
-  std::size_t mismatches = 0;
-  std::size_t replays = 0;
-  std::size_t analytic_replays = 0;
+/// --replay-check: the stream of each group of tasks sharing one is recorded
+/// once (and the recording run must equal its task's live run); every
+/// task's live run must then equal both an interpreted replay and a
+/// compiled-plan (analytic) replay of that stream on every deterministic
+/// counter. Groups run one at a time, so one trace and its plan are
+/// resident at once. Returns the number of mismatches.
+std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
+  std::vector<std::vector<const exec::RunTask*>> streams;
+  std::map<std::string, std::size_t> stream_of;
   for (const exec::RunTask& task : tasks) {
-    exec::RunTask traced = task;
-    traced.trace_backed = true;
-    const exec::RunRecord live = exec::ExperimentEngine::execute_task(task);
-    const exec::RunRecord via_store =
-        exec::ExperimentEngine::execute_task(traced, &store, false);
-    // The stream is in the store by now (recorded above if absent), so this
-    // exercises the analytic plan path for every task.
-    const exec::RunRecord via_analytic =
-        exec::ExperimentEngine::execute_task(traced, &store, true);
-    if (via_store.trace_source == "replay") ++replays;
-    if (via_analytic.trace_source == "analytic") ++analytic_replays;
-    if (!live.same_result(via_store)) {
-      ++mismatches;
-      std::cerr << "REPLAY MISMATCH: " << task.label() << " (live vs "
-                << via_store.trace_source << ")\n";
-    }
-    if (!live.same_result(via_analytic)) {
-      ++mismatches;
-      std::cerr << "REPLAY MISMATCH: " << task.label() << " (live vs "
-                << via_analytic.trace_source << ")\n";
+    const std::string key = trace::trace_key(
+        npb::kernel_name(task.kernel), npb::klass_name(task.klass),
+        task.threads, task.page_kind);
+    const auto [it, fresh] = stream_of.try_emplace(key, streams.size());
+    if (fresh) streams.emplace_back();
+    streams[it->second].push_back(&task);
+  }
+
+  std::size_t mismatches = 0;
+  std::size_t trace_bytes = 0;
+  for (const std::vector<const exec::RunTask*>& group : streams) {
+    const exec::RunTask& first = *group.front();
+    trace::TraceRecorder recorder(first.threads);
+    const exec::RunRecord recorded =
+        exec::Scheduler::execute_task(first, sim::bind_sink(&recorder));
+    trace::TraceMeta meta;
+    meta.kernel = recorded.kernel;
+    meta.klass = recorded.klass;
+    meta.threads = first.threads;
+    meta.page_kind = first.page_kind;
+    meta.platform = first.spec.name;
+    meta.code_page_kind = first.code_page_kind;
+    meta.seed = first.seed;
+    meta.verified = recorded.verified;
+    meta.checksum = recorded.checksum;
+    const trace::Trace tr = recorder.finish(std::move(meta));
+    for (const std::string& s : tr.streams) trace_bytes += s.size();
+    const std::shared_ptr<const trace::TracePlan> plan =
+        trace::TracePlan::compile(tr);
+
+    for (const exec::RunTask* task : group) {
+      trace::ReplayConfig cfg{task->spec, task->cost, task->seed,
+                              task->code_page_kind};
+      cfg.paging = task->paging;
+      const trace::ReplayDriver driver(cfg);
+      const exec::RunRecord live = exec::Scheduler::execute_task(*task);
+      if (task == &first && !live.same_result(recorded)) {
+        ++mismatches;
+        std::cerr << "REPLAY MISMATCH: " << task->label()
+                  << " (live vs recording run)\n";
+      }
+      const std::pair<const char*, trace::ReplayOutcome> replays[] = {
+          {"interpreted", driver.run(tr)}, {"analytic", driver.run(tr, *plan)}};
+      for (const auto& [how, out] : replays) {
+        if (!live.same_result(exec::Scheduler::replay_record(*task, out))) {
+          ++mismatches;
+          std::cerr << "REPLAY MISMATCH: " << task->label() << " (live vs "
+                    << how << ")\n";
+        }
+      }
     }
   }
-  const trace::TraceStore::Stats s = store.stats();
-  std::cout << "replay check: " << tasks.size() << " tasks, " << replays
-            << " replayed + " << analytic_replays << " analytic from "
-            << s.traces << " recorded streams (" << format_bytes(s.bytes)
-            << ", " << s.plans << " plans), " << mismatches
-            << " mismatches\n";
+  std::cout << "replay check: " << tasks.size() << " tasks from "
+            << streams.size() << " recorded streams ("
+            << format_bytes(trace_bytes) << "), each replayed interpreted "
+            << "and analytic, " << mismatches << " mismatches\n";
   return mismatches;
 }
 
@@ -117,18 +143,16 @@ int main(int argc, char** argv) {
   }
 
   if (opts.get_flag("replay-check")) {
-    const std::size_t bytes =
-        MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
-    return replay_check(spec.expand(), bytes) == 0 ? 0 : 1;
+    return replay_check(spec.expand()) == 0 ? 0 : 1;
   }
 
-  exec::ExperimentEngine engine = bench::make_engine(opts);
+  exec::Scheduler scheduler = bench::make_scheduler(opts);
   std::cout << "sweep_all: " << spec.expand().size()
             << " runs over the Figure 4 grid (class " << npb::klass_name(klass)
-            << "), " << engine.workers() << " workers, strategy "
+            << "), " << scheduler.workers() << " workers, strategy "
             << exec::strategy_name(strategy) << "\n";
 
-  const exec::SweepResult cold = engine.run(spec);
+  const exec::SweepResult cold = scheduler.run(spec);
   bench::require_all_verified(cold);
   std::cout << "cold sweep: " << cold.completed() << "/"
             << cold.records.size() << " runs in "
@@ -137,32 +161,14 @@ int main(int argc, char** argv) {
             << "s simulated)\n";
   const bench::TraceProvenance prov = bench::trace_provenance(cold);
   if (spec.trace_backed) {
-    std::cout << "streams: " << prov.lane + prov.analytic << " lanes in "
-              << cold.fused_groups << " fused groups (" << prov.analytic
-              << " analytic), " << prov.fold << " folded, " << prov.record
-              << " recorded, "
-              << prov.replay << " replayed, " << prov.live << " live";
-    if (prov.fallback > 0) {
-      std::cout << ", " << prov.fallback << " trace fallbacks";
-    }
-    std::cout << "\n";
-    const trace::TraceStore::Stats ts = engine.trace_store().stats();
-    if (ts.insertions > 0 || ts.traces > 0) {
-      std::cout << "trace store: " << ts.released << " streams released, "
-                << ts.traces << " resident (" << format_bytes(ts.bytes)
-                << " of " << format_bytes(ts.budget) << ")";
-      if (ts.rejected > 0) {
-        // An over-budget stream is never stored, so every later task sharing
-        // it silently re-records; raise --trace-store-mb.
-        std::cout << "; " << ts.rejected << " over-budget inserts dropped";
-      }
-      std::cout << "\n";
-    }
+    std::cout << "streams: " << prov.lane << " lanes in " << cold.fused_groups
+              << " fused groups, " << prov.fold << " folded, " << prov.live
+              << " live\n";
   }
 
   // Warm rerun over the identical grid: every task must be served from the
   // result cache with counters identical to the cold pass.
-  const exec::SweepResult warm = engine.run(spec);
+  const exec::SweepResult warm = scheduler.run(spec);
   bool identical = warm.records.size() == cold.records.size();
   for (std::size_t i = 0; identical && i < warm.records.size(); ++i) {
     identical = warm.records[i].same_result(cold.records[i]);
@@ -258,17 +264,13 @@ int main(int argc, char** argv) {
   if (host) w.field("wall_ms", warm.wall_ms);
   w.end_object();
   if (host) {
-    // Trace provenance is scheduling-dependent (which task records vs
-    // replays or rides as a lane), so it lives with the host-only fields.
+    // Provenance is scheduling-dependent (which task leads and which rides
+    // as a lane), so it lives with the host-only fields.
     w.key("trace");
     w.begin_object();
     w.field("enabled", spec.trace_backed);
-    w.field("recorded", static_cast<std::uint64_t>(prov.record));
-    w.field("replayed", static_cast<std::uint64_t>(prov.replay));
-    w.field("analytic", static_cast<std::uint64_t>(prov.analytic));
     w.field("lanes", static_cast<std::uint64_t>(prov.lane));
     w.field("folded", static_cast<std::uint64_t>(prov.fold));
-    w.field("fallbacks", static_cast<std::uint64_t>(prov.fallback));
     w.field("live", static_cast<std::uint64_t>(prov.live));
     w.end_object();
   }
@@ -293,7 +295,7 @@ int main(int argc, char** argv) {
   const std::string bench_path = opts.get("json-out", "");
   if (!bench_path.empty()) {
     // Lane occupancy over *fusable* stream groups (points ≥ 2). A group of
-    // P points always needs one source run (leader or recording), so its
+    // P points always needs one source run (its leader), so its
     // lane capacity is P−1; occupancy = offloaded/(P−1). Singleton groups
     // (e.g. 8T streams only one platform can host) have no capacity at all
     // — the old definition (fused_lanes/records) let them drag the overall
@@ -308,8 +310,7 @@ int main(int argc, char** argv) {
       auto [it, fresh] = groups.try_emplace(stream, 0, 0);
       if (fresh) group_order.push_back(stream);
       ++it->second.first;
-      if (r.trace_source == "analytic" || r.trace_source == "lane" ||
-          r.trace_source == "fold" || r.trace_source == "replay") {
+      if (r.trace_source == "lane" || r.trace_source == "fold") {
         ++it->second.second;
       }
     }
@@ -350,7 +351,7 @@ int main(int argc, char** argv) {
     }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v5");
+    b.field("schema", "lpomp-bench-sweep-v6");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
     b.field("topology", cold.topology);
@@ -369,7 +370,7 @@ int main(int argc, char** argv) {
     // Persistent-store telemetry (all zero when --store-dir= is not given).
     b.key("store");
     b.begin_object();
-    b.field("enabled", engine.disk_store() != nullptr);
+    b.field("enabled", scheduler.disk_store() != nullptr);
     b.field("hits", cold.store.hits + warm.store.hits);
     b.field("misses", cold.store.misses + warm.store.misses);
     b.field("insertions", cold.store.insertions + warm.store.insertions);
@@ -384,13 +385,11 @@ int main(int argc, char** argv) {
     b.field("fused_groups", static_cast<std::uint64_t>(cold.fused_groups));
     b.field("fused_lanes", static_cast<std::uint64_t>(cold.fused_lanes));
     b.field("folded_lanes", static_cast<std::uint64_t>(cold.folded_lanes));
-    b.field("replay_fallbacks",
-            static_cast<std::uint64_t>(cold.replay_fallbacks));
     b.field("fusable_points", fusable_points);
     b.field("singleton_points", singleton_points);
     b.field("lane_occupancy_overall", occupancy);
-    // Substrate-pool provenance over the cold + warm sweeps: reuse > 0 is
-    // the warm-fused-replay fast path actually firing.
+    // Substrate-pool provenance over the cold + warm sweeps: reuse > 0 means
+    // fused groups shared a substrate instead of building one each.
     b.field("substrate_builds", cold.substrate_builds + warm.substrate_builds);
     b.field("substrate_reuse", cold.substrate_reuse + warm.substrate_reuse);
     b.field("substrate_scrub_discards",
@@ -399,7 +398,7 @@ int main(int argc, char** argv) {
     b.field("remote_steals", cold.remote_steals + warm.remote_steals);
     // Per-stream-group occupancy. A group is one address stream: kernel ×
     // class × threads × page kind; "offloaded" counts its points served
-    // from the stream as analytic/lane/fold/replay followers; "fusable"
+    // from the stream as lane or fold followers; "fusable"
     // groups (points ≥ 2) have capacity points−1 (the source run is
     // structural).
     b.key("stream_groups");
@@ -414,23 +413,6 @@ int main(int argc, char** argv) {
       b.field("occupancy", points < 2 ? 0.0
                                       : static_cast<double>(offloaded) /
                                             static_cast<double>(points - 1));
-      b.end_object();
-    }
-    b.end_array();
-    // Adaptive-chunking decision trace of the cold sweep: per sharded
-    // stream group, the mode it executed under and the governor state
-    // after its imbalance observation.
-    b.key("sharding");
-    b.begin_array();
-    for (const exec::SweepResult::GroupSharding& g : cold.sharding) {
-      b.begin_object();
-      b.field("stream", g.stream);
-      b.field("mode", g.mode);
-      b.field("shards", static_cast<std::uint64_t>(g.shards));
-      b.field("imbalance", g.imbalance);
-      b.field("ewma", g.ewma);
-      b.field("promotions", g.promotions);
-      b.field("demotions", g.demotions);
       b.end_object();
     }
     b.end_array();

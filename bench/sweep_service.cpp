@@ -1,8 +1,8 @@
 // sweep_service — the persistent sweep daemon.
 //
 //   sweep_service [--shm=/lpomp-sweep] [--store-dir=PATH] [--workers=N]
-//                 [--strategy=live|recorded|multilane|analytic|auto]
-//                 [--slots=8] [--slot-mb=1] [--trace-store-mb=2048]
+//                 [--strategy=live|multilane|auto]
+//                 [--slots=8] [--slot-mb=1]
 //
 // Creates the shared-memory request ring and serves sweep_client
 // submissions until SIGTERM/SIGINT: each request is decoded, run through
@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
   cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
   cfg.scheduler.workers = bench::workers_from(opts);
-  cfg.scheduler.trace_store_bytes =
-      MiB(static_cast<std::size_t>(opts.get_int("trace-store-mb", 2048)));
   cfg.scheduler.strategy = bench::strategy_from(opts);
   cfg.scheduler.store_dir = opts.get("store-dir", "");
 

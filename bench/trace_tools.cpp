@@ -5,17 +5,15 @@
 //                         --out=cg.lptrace [--platform=opteron] [--seed=N]
 //   trace_tools replay    --in=cg.lptrace [--platform=xeon] [--seed=N]
 //                         [--code-pages=4KB] [--check]
-//                         [--strategy=analytic|recorded]
 //   trace_tools multilane --in=cg.lptrace [--seed=N] [--check]
 //   trace_tools bench     --in=cg_s.lptrace,cg_w.lptrace [--repeat=10]
 //                         [--json-out=FILE]
 //   trace_tools stats     --in=cg.lptrace
 //
 // `record` runs the kernel live with the recorder attached and writes the
-// compressed trace. `replay` re-drives the simulator from the file — by
-// default from a compiled TracePlan with the analytic fast-forward tier,
-// interpreted with --strategy=recorded (--no-analytic remains an alias) —
-// and prints the profile; with --check it
+// compressed trace. `replay` re-drives the simulator from the file through
+// a compiled TracePlan with the analytic fast-forward tier and prints the
+// profile; with --check it
 // also runs the same config live and verifies every counter matches
 // bit-for-bit. `multilane` replays the file once onto the whole platform ×
 // code-page grid — every grid point is a lane of one MultiReplayDriver
@@ -115,39 +113,23 @@ int cmd_replay(const Options& opts) {
     std::cerr << "replay: need --in=<file>\n";
     return 2;
   }
+  if (opts.has("strategy")) {
+    // Scheduler strategies do not apply to one file: replay always runs the
+    // compiled plan (`bench` times it against the interpreter).
+    std::cerr << "replay: --strategy= is not an option of replay\n";
+    return 2;
+  }
   const trace::Trace trace = trace::load_trace_file(in);
   trace::ReplayConfig cfg;
   cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
   cfg.code_page_kind = pages_from(opts, "code-pages");
-  // For a single-file replay the strategy axis collapses to analytic
-  // (compiled plan + fast-forward) vs recorded (interpreted); the shared
-  // parser still handles the deprecated --no-analytic alias. A lone replay
-  // has no lanes to fuse, so auto keeps this tool's compiled-plan default
-  // rather than the sweep default (multilane).
-  switch (bench::strategy_from(opts)) {
-    case exec::Strategy::Auto:
-    case exec::Strategy::Analytic:
-      cfg.analytic = true;
-      break;
-    case exec::Strategy::Recorded:
-    case exec::Strategy::Multilane:
-      cfg.analytic = false;
-      break;
-    case exec::Strategy::Live:
-      std::cerr << "replay: --strategy=live makes no sense for a trace "
-                   "replay (use --strategy=analytic or recorded)\n";
-      return 2;
-  }
 
   std::cout << "replaying " << trace.key() << " (recorded on "
             << trace.meta.platform << ") on " << cfg.spec.name
-            << (cfg.analytic ? " [analytic]" : " [interpreted]") << "\n";
+            << " [analytic]\n";
   const trace::ReplayOutcome out =
-      cfg.analytic
-          ? trace::ReplayDriver(cfg).run(trace,
-                                         *trace::TracePlan::compile(trace))
-          : trace::ReplayDriver(cfg).run(trace);
+      trace::ReplayDriver(cfg).run(trace, *trace::TracePlan::compile(trace));
   print_profile(out.profile, out.simulated_seconds);
 
   if (opts.get_flag("check")) {
@@ -160,11 +142,8 @@ int cmd_replay(const Options& opts) {
     task.page_kind = trace.meta.page_kind;
     task.code_page_kind = cfg.code_page_kind;
     task.seed = cfg.seed;
-    const exec::RunRecord live = exec::ExperimentEngine::execute_task(task);
-    const bool same =
-        live.cycles == out.profile.count(prof::ProfileReport::kCycles) &&
-        live.simulated_seconds == out.simulated_seconds &&
-        live.accesses == out.profile.count(prof::ProfileReport::kAccesses);
+    const bool same = exec::Scheduler::execute_task(task).same_result(
+        exec::Scheduler::replay_record(task, out));
     std::cout << "live check: counters "
               << (same ? "identical" : "DIFFER") << "\n";
     if (!same) return 1;
@@ -515,8 +494,7 @@ int main(int argc, char** argv) {
                "[options]\n"
                "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
                "--out=FILE\n"
-               "  replay    --in=FILE [--platform=opteron|xeon] [--check] "
-               "[--strategy=analytic|recorded]\n"
+               "  replay    --in=FILE [--platform=opteron|xeon] [--check]\n"
                "  multilane --in=FILE [--seed=N] [--check]\n"
                "  bench     --in=FILE[,FILE...] [--repeat=10] "
                "[--json-out=FILE]\n"

@@ -6,6 +6,7 @@
 //   $ ./npb_runner all --klass=S        # smoke-run every kernel
 #include <iostream>
 
+#include "bench/cli.hpp"
 #include "npb/npb.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
@@ -25,12 +26,7 @@ int run_one(npb::Kernel kernel, const Options& opts) {
                                 : sim::ProcessorSpec::opteron270(),
                             sim::CostModel{}, 0x5eedULL};
 
-  const std::string klass_name = opts.get("klass", "S");
-  npb::Klass klass = npb::Klass::S;
-  for (npb::Klass k : {npb::Klass::S, npb::Klass::W, npb::Klass::A,
-                       npb::Klass::B, npb::Klass::R}) {
-    if (klass_name == npb::klass_name(k)) klass = k;
-  }
+  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "S"));
 
   std::cout << "Running " << npb::kernel_name(kernel) << " class "
             << npb::klass_name(klass) << " on " << cfg.sim->spec.name << ", "

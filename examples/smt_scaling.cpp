@@ -10,6 +10,7 @@
 //   $ ./smt_scaling [--kernel=SP] [--klass=R] [--msg-barrier]
 #include <iostream>
 
+#include "bench/cli.hpp"
 #include "npb/npb.hpp"
 #include "prof/profile.hpp"
 #include "support/format.hpp"
@@ -18,27 +19,10 @@
 
 using namespace lpomp;
 
-namespace {
-
-npb::Kernel kernel_by_name(const std::string& name) {
-  for (npb::Kernel k : npb::all_kernels()) {
-    if (name == npb::kernel_name(k)) return k;
-  }
-  return npb::Kernel::SP;
-}
-
-npb::Klass klass_by_name(const std::string& name) {
-  if (name == "S") return npb::Klass::S;
-  if (name == "W") return npb::Klass::W;
-  return npb::Klass::R;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const npb::Kernel kernel = kernel_by_name(opts.get("kernel", "SP"));
-  const npb::Klass klass = klass_by_name(opts.get("klass", "R"));
+  const npb::Kernel kernel = bench::kernel_by_name(opts.get("kernel", "SP"));
+  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const bool msg_barrier = opts.get_flag("msg-barrier");
 
   std::cout << "smt_scaling: " << npb::kernel_name(kernel) << " class "

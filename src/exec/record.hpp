@@ -55,13 +55,11 @@ struct RunRecord {
   /// into the LRU, so at most one of cache_hit/store_hit is set).
   bool store_hit = false;
   double wall_ms = 0.0;
-  /// How this result was produced: "live" (full kernel run), "record"
-  /// (live run that also captured a trace), "replay" (interpreted trace
-  /// replay), "analytic" (compiled-plan replay with the analytic
-  /// fast-forward tier), "lane" (lane of a fused multi-lane group tracking
-  /// a live leader), "fold" (outcome copied from a point of the same fused
-  /// group whose paging policy is provably equivalent) or "fallback"
-  /// (stored trace rejected, re-run live).
+  /// How this result was produced: "live" (full kernel run), "lane" (lane
+  /// of a fused multi-lane group tracking a live leader) or "fold" (outcome
+  /// copied from a point of the same fused group whose paging policy is
+  /// provably equivalent). Records persisted by older versions may also
+  /// carry the retired "record", "replay", "analytic" or "fallback".
   /// Scheduling decides which task takes which path, so this is provenance,
   /// not part of the deterministic result.
   std::string trace_source = "live";

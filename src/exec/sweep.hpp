@@ -51,12 +51,13 @@ struct RunTask {
   /// differ only in policy share one recorded trace.
   paging::PolicySpec paging{};
 
-  /// Run through the engine's trace store: record this task's address
-  /// stream on first use and replay it for every later task that shares it
-  /// (same kernel/class/threads/page kind — see src/trace). Replayed
+  /// May share its address stream with the other tasks of its stream group
+  /// (same kernel/class/threads/page kind — see src/trace): under the
+  /// multilane strategy the group runs as one live leader plus lanes. Lane
   /// results are bit-identical to live runs, so this is an execution
   /// strategy, not part of the result's identity (it is deliberately NOT in
-  /// the cache key).
+  /// the cache key). Kept as the per-task opt-in perfbench and the benches
+  /// set.
   bool trace_backed = false;
 
   /// Human-readable tag, e.g. "CG.R/opteron270/4T/2MB" (plus "/thp" etc.
@@ -88,9 +89,10 @@ struct SweepSpec {
   /// harnesses); true → per-task seeds via splitmix64(base_seed + index).
   bool per_task_seeds = false;
 
-  /// Expanded tasks record/replay address traces through the engine's
-  /// trace store (default: a sweep's platform axis re-simulates identical
-  /// streams, which is exactly what traces amortise).
+  /// Expanded tasks opt into stream-group fusion (RunTask::trace_backed;
+  /// default: a sweep's platform and policy axes re-simulate identical
+  /// streams, which is exactly what lanes amortise). Kept because
+  /// perfbench and sweep_all set it from the strategy.
   bool trace_backed = true;
 
   /// Grid order: kernel-major, then platform, threads, page kind.

@@ -28,7 +28,6 @@ WorkStealingPool::WorkStealingPool(unsigned workers, Topology topology)
     near.insert(near.end(), far.begin(), far.end());
     steal_order_[self] = std::move(near);
   }
-  next_in_domain_.assign(topology_.domains(), 0);
   threads_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -60,20 +59,6 @@ void WorkStealingPool::submit(std::function<void()> fn) {
     ++unfinished_;
     target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
-  enqueue(std::move(fn), target);
-}
-
-void WorkStealingPool::submit_to_domain(std::function<void()> fn,
-                                        unsigned domain) {
-  domain %= topology_.domains();
-  const unsigned per = topology_.cores_per_socket;
-  std::size_t target;
-  {
-    std::lock_guard lock(state_mutex_);
-    ++unfinished_;
-    target = std::size_t{domain} * per + next_in_domain_[domain];
-    next_in_domain_[domain] = (next_in_domain_[domain] + 1) % per;
   }
   enqueue(std::move(fn), target);
 }

@@ -252,8 +252,7 @@ ReplayOutcome LaneSet::outcome(std::size_t lane, const std::string& label,
   return out;
 }
 
-std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace,
-                                                  SubstratePool* pool) const {
+std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace) const {
   const npb::Kernel kernel = kernel_from_name(trace.meta.kernel);
   const npb::Klass klass = klass_from_name(trace.meta.klass);
 
@@ -266,21 +265,7 @@ std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace,
   }
 
   try {
-    // The substrate comes from the pool when one is supplied (the lease
-    // returns it — scrub-checked — on every exit path, including throws);
-    // otherwise it is built and torn down locally, the historical cost.
-    SubstratePool::Lease lease;
-    std::unique_ptr<ReplaySubstrate> owned;
-    const ReplaySubstrate* substrate_ptr;
-    if (pool != nullptr) {
-      lease = pool->checkout(kernel, klass, trace.meta.page_kind);
-      substrate_ptr = lease.get();
-    } else {
-      owned = std::make_unique<ReplaySubstrate>(kernel, klass,
-                                                trace.meta.page_kind);
-      substrate_ptr = owned.get();
-    }
-    const ReplaySubstrate& substrate = *substrate_ptr;
+    const ReplaySubstrate substrate(kernel, klass, trace.meta.page_kind);
     LaneArena arena;
     LaneSet lanes(substrate, trace.meta.threads);
     for (const ReplayConfig& cfg : lanes_) lanes.add_lane(cfg);
@@ -350,9 +335,8 @@ std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace,
   }
 }
 
-std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace,
-                                                  const TracePlan& plan,
-                                                  SubstratePool* pool) const {
+std::vector<ReplayOutcome> MultiReplayDriver::run(
+    const Trace& trace, const TracePlan& plan) const {
   const npb::Kernel kernel = kernel_from_name(trace.meta.kernel);
   const npb::Klass klass = klass_from_name(trace.meta.klass);
 
@@ -369,18 +353,7 @@ std::vector<ReplayOutcome> MultiReplayDriver::run(const Trace& trace,
   }
 
   try {
-    SubstratePool::Lease lease;
-    std::unique_ptr<ReplaySubstrate> owned;
-    const ReplaySubstrate* substrate_ptr;
-    if (pool != nullptr) {
-      lease = pool->checkout(kernel, klass, trace.meta.page_kind);
-      substrate_ptr = lease.get();
-    } else {
-      owned = std::make_unique<ReplaySubstrate>(kernel, klass,
-                                                trace.meta.page_kind);
-      substrate_ptr = owned.get();
-    }
-    const ReplaySubstrate& substrate = *substrate_ptr;
+    const ReplaySubstrate substrate(kernel, klass, trace.meta.page_kind);
     LaneArena arena;
     LaneSet lanes(substrate, trace.meta.threads);
     for (const ReplayConfig& cfg : lanes_) lanes.add_lane(cfg);

@@ -59,12 +59,12 @@
 
 namespace lpomp::trace {
 
-/// Page-aligned bump allocator for a lane group's SoA hot state. A shard's
-/// arena lives on the worker executing the shard, and every fresh chunk is
+/// Page-aligned bump allocator for a lane group's SoA hot state. A group's
+/// arena lives on the worker executing the group, and every fresh chunk is
 /// touched (zero-filled) by that worker before use — under a first-touch
 /// NUMA policy the OS therefore places the backing pages on the worker's
 /// own memory node. Allocations are never freed individually; the arena
-/// releases everything at once when it dies with the shard.
+/// releases everything at once when it dies with the group.
 class LaneArena {
  public:
   explicit LaneArena(std::size_t chunk_bytes = 256 * 1024)
@@ -243,7 +243,7 @@ class LaneSet {
 
   /// Packs the SoA index into one contiguous slab once all lanes are added
   /// (further add_lane calls unseal). With an arena the slab lives in it —
-  /// a shard seals into its own first-touch arena so the index the decode
+  /// a group seals into its own first-touch arena so the index the decode
   /// loop sweeps is resident on the executing worker's memory node; without
   /// one the slab is owned by the LaneSet. Optional: the unsealed path
   /// reads by_tid_ directly and is equally correct.
@@ -372,20 +372,15 @@ class MultiReplayDriver {
   /// platform, or the simulator rejects the stream mid-replay (a corrupt
   /// but well-framed trace) — never a bare logic_error, so callers can fall
   /// back to live execution.
-  ///
-  /// With a SubstratePool the run leases its substrate from the pool
-  /// instead of constructing one (returned — and scrub-checked — on every
-  /// exit path); outcomes are bit-identical with or without the pool.
-  std::vector<ReplayOutcome> run(const Trace& trace,
-                                 SubstratePool* pool = nullptr) const;
+  std::vector<ReplayOutcome> run(const Trace& trace) const;
 
   /// The same replay served from a precompiled plan of `trace`: no stream
   /// decode, and lanes with ReplayConfig::analytic fast-forward every block
   /// they can prove warm. Outcomes are bit-identical to run(trace). The
   /// plan must have been compiled from this trace (thread/boundary shape is
   /// checked; TraceError otherwise).
-  std::vector<ReplayOutcome> run(const Trace& trace, const TracePlan& plan,
-                                 SubstratePool* pool = nullptr) const;
+  std::vector<ReplayOutcome> run(const Trace& trace,
+                                 const TracePlan& plan) const;
 
   const std::vector<ReplayConfig>& lane_configs() const { return lanes_; }
 

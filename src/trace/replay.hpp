@@ -39,8 +39,7 @@ struct ReplayConfig {
   /// Use the analytic fast-forward tier for this lane when a compiled
   /// TracePlan is supplied (plan-less replays always interpret). Purely an
   /// execution strategy: counters are bit-identical either way (the
-  /// four-way differential oracle's invariant); --no-analytic in the
-  /// benches flips it.
+  /// four-way differential oracle's invariant).
   bool analytic = true;
 
   /// Optional sink observing the replayed stream. The replay reports events

@@ -1,7 +1,8 @@
 // Strict command-line inputs: a flag value the harnesses cannot honour ends
 // the process with exit status 2 and names the valid set, instead of
 // silently running something else (class R for an unknown class, the
-// default worker count for a non-numeric one).
+// default worker count for a non-numeric one, the default strategy for a
+// retired one).
 #include <gtest/gtest.h>
 
 #include "bench/bench_common.hpp"
@@ -37,9 +38,41 @@ TEST_F(StrictInputs, UnknownKlassExitsTwoWithValidSet) {
               "valid: S,W,A,B,R");
 }
 
+// The kernel parser the benches' --kernels= and the examples' --kernel=
+// share (smt_scaling used to run SP for any unknown name).
+TEST_F(StrictInputs, UnknownKernelExitsTwoWithValidSet) {
+  EXPECT_EQ(bench::kernel_by_name("GUPS"), npb::Kernel::GUPS);
+  EXPECT_EXIT(bench::kernel_by_name("XX"), ::testing::ExitedWithCode(2),
+              "unknown kernel 'XX' in --kernel= \\(valid: "
+              "BT,CG,FT,SP,MG,GUPS,GT,PC\\)");
+  EXPECT_EXIT(bench::kernels_from(options({"--kernels=CG,cg"})),
+              ::testing::ExitedWithCode(2),
+              "unknown kernel 'cg' in --kernels=CG,cg \\(valid: ");
+}
+
+// The retired strategies and their old flag spellings fail loudly instead of
+// running the default strategy.
+TEST_F(StrictInputs, RetiredStrategySpellingsExitTwo) {
+  EXPECT_EQ(bench::strategy_from(options({"--strategy=live"})),
+            exec::Strategy::Live);
+  EXPECT_EQ(bench::strategy_from(options({})), exec::Strategy::Auto);
+  for (const char* retired : {"--strategy=recorded", "--strategy=analytic"}) {
+    EXPECT_EXIT(bench::strategy_from(options({retired})),
+                ::testing::ExitedWithCode(2),
+                "valid: live, multilane, auto")
+        << retired;
+  }
+  for (const char* retired : {"--no-trace", "--no-multilane", "--no-analytic"}) {
+    EXPECT_EXIT(bench::strategy_from(options({retired})),
+                ::testing::ExitedWithCode(2),
+                "is retired; use --strategy= \\(live, multilane, auto\\)")
+        << retired;
+  }
+}
+
 TEST_F(StrictInputs, NonNumericWorkersExitsTwo) {
   const Options opts = options({"--workers=abc"});
-  EXPECT_EXIT(bench::make_engine(opts), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(bench::make_scheduler(opts), ::testing::ExitedWithCode(2),
               "invalid --workers=abc \\(expected a decimal integer\\)");
 }
 

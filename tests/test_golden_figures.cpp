@@ -14,7 +14,7 @@
 #include <sstream>
 #include <string>
 
-#include "exec/engine.hpp"
+#include "exec/scheduler.hpp"
 #include "paging/policy.hpp"
 #include "sim/thread_sim.hpp"
 
@@ -75,7 +75,7 @@ TEST(GoldenFigures, Figure4SmallClass) {
   SweepSpec spec = SweepSpec::figure4(npb::Klass::S);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.paging_policies = golden_paging_axis();
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   const SweepResult result = engine.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
@@ -86,7 +86,7 @@ TEST(GoldenFigures, Figure5SmallClass) {
   SweepSpec spec = SweepSpec::figure5(npb::Klass::S, /*threads=*/4);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.paging_policies = golden_paging_axis();
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   const SweepResult result = engine.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
@@ -108,7 +108,7 @@ TEST(GoldenFigures, IrregularKernelsSmallClassPagingGrid) {
   hugetlb2m.policy = paging::Policy::hugetlb2m;
   spec.paging_policies = golden_paging_axis();
   spec.paging_policies.insert(spec.paging_policies.begin() + 1, hugetlb2m);
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   const SweepResult result = engine.run(spec);
   ASSERT_EQ(result.failed(), 0u);
   for (const RunRecord& r : result.records) ASSERT_TRUE(r.verified);
@@ -128,7 +128,7 @@ TEST(GoldenFigures, FullGridClassSPinnedToReferenceModel) {
   if (update_mode()) {
     sim::ThreadSim::set_default_fast_path(false);
   }
-  ExperimentEngine engine({.workers = 2});
+  Scheduler engine({.workers = 2});
   const SweepResult result = engine.run(spec);
   sim::ThreadSim::set_default_fast_path(true);
   ASSERT_EQ(result.failed(), 0u);

@@ -106,7 +106,7 @@ TEST(ServeWire, RequestRoundTrip) {
   request.code_page_kind = PageKind::large2m;
   request.base_seed = 0xdeadbeef;
   request.per_task_seeds = true;
-  request.strategy = exec::Strategy::Recorded;
+  request.strategy = exec::Strategy::Live;
 
   const std::string text = serve::encode_request(request);
   const serve::SweepRequest decoded = serve::decode_request(text);
@@ -145,6 +145,28 @@ TEST(ServeWire, RejectsMalformedRequests) {
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, std::string::npos, "strategy=warp");
   EXPECT_THROW(serve::decode_request(tampered), serve::WireError);
+}
+
+// A retired strategy in a request fails at decode with a message naming the
+// valid set — the text the daemon wraps into its error response.
+TEST(ServeWire, RetiredStrategyIsRejectedNamingTheValidSet) {
+  std::string text = serve::encode_request(small_request());
+  const std::size_t pos = text.find("strategy=");
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* retired : {"recorded", "analytic"}) {
+    text.replace(pos, std::string::npos, std::string("strategy=") + retired);
+    try {
+      serve::decode_request(text);
+      FAIL() << "expected WireError for strategy=" << retired;
+    } catch (const serve::WireError& e) {
+      const exec::JsonValue doc =
+          exec::json_parse(serve::encode_error_response(e.what()));
+      EXPECT_EQ(doc.at("status").as_string(), "error");
+      EXPECT_EQ(doc.at("message").as_string(),
+                std::string("unknown strategy '") + retired +
+                    "' (valid: live, multilane, auto)");
+    }
+  }
 }
 
 TEST(ServeWire, ErrorResponseDocument) {

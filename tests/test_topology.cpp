@@ -1,10 +1,9 @@
 // Tests for the topology-aware scheduling layer: Topology parsing and
-// domain arithmetic, the ShardingGovernor promote/demote state machine,
-// domain-targeted submission on the work-stealing pool, the SubstratePool
-// reuse/scrub contract, and — the load-bearing invariant — that sharded
-// lane fusion under randomized socket × core shapes and worker counts
-// yields RunRecords counter-identical to a single-worker sweep under every
-// execution strategy and under a non-native paging policy.
+// domain arithmetic, the work-stealing pool under an explicit shape, the
+// SubstratePool reuse/scrub contract, and — the load-bearing invariant —
+// that fused lanes under randomized socket × core shapes and worker counts
+// yield RunRecords counter-identical to a single-worker sweep under both
+// execution strategies and under a non-native paging policy.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -12,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/engine.hpp"
+#include "exec/scheduler.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/topology.hpp"
 #include "paging/policy.hpp"
@@ -72,63 +71,12 @@ TEST(Topology, ZeroWorkersResolveToAtLeastOne) {
   EXPECT_GE(resolved.workers(), 1u);
 }
 
-TEST(ShardingGovernor, PromotesOnSustainedImbalance) {
-  ShardingGovernor gov;
-  EXPECT_FALSE(gov.stealing("CG.S/4T/4KB"));  // groups start static
-  const auto g = gov.observe("CG.S/4T/4KB", 3.0);
-  EXPECT_TRUE(g.stealing);  // first observation seeds the EWMA directly
-  EXPECT_EQ(g.promotions, 1u);
-  EXPECT_TRUE(gov.stealing("CG.S/4T/4KB"));
-}
-
-TEST(ShardingGovernor, DemotesWhenImbalanceSettles) {
-  ShardingGovernor gov;
-  gov.observe("s", 3.0);
-  ASSERT_TRUE(gov.stealing("s"));
-  // Repeated balanced observations pull the EWMA below the demote
-  // threshold (alpha = 0.5 halves the distance each step).
-  for (int i = 0; i < 6 && gov.stealing("s"); ++i) gov.observe("s", 1.0);
-  const auto g = gov.group("s");
-  EXPECT_FALSE(g.stealing);
-  EXPECT_EQ(g.demotions, 1u);
-  EXPECT_LT(g.ewma, gov.policy().demote);
-}
-
-TEST(ShardingGovernor, HysteresisBandHoldsTheCurrentMode) {
-  ShardingGovernor gov;
-  // Between demote (1.15) and promote (1.5): a static group stays static...
-  gov.observe("a", 1.3);
-  gov.observe("a", 1.3);
-  EXPECT_FALSE(gov.stealing("a"));
-  // ...and a stealing group keeps stealing at the same reading.
-  gov.observe("b", 5.0);
-  ASSERT_TRUE(gov.stealing("b"));
-  gov.observe("b", 1.3);
-  gov.observe("b", 1.3);
-  EXPECT_TRUE(gov.stealing("b"));
-}
-
-TEST(ShardingGovernor, ClampsDegenerateImbalanceReadings) {
-  ShardingGovernor gov;
-  gov.observe("s", 0.0);  // mean ≤ 0 guard feeds 1.0
-  EXPECT_EQ(gov.group("s").ewma, 1.0);
-  gov.observe("s", -7.0);
-  EXPECT_EQ(gov.group("s").ewma, 1.0);
-  EXPECT_EQ(gov.group("s").observations, 2u);
-}
-
 TEST(WorkStealingPool, RunsEveryTaskUnderAnExplicitTopology) {
   WorkStealingPool pool(0, Topology::parse("2x2"));
   EXPECT_EQ(pool.workers(), 4u);
   EXPECT_EQ(pool.domains(), 2u);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    if (i % 2 == 0) {
-      pool.submit([&] { ++ran; });
-    } else {
-      pool.submit_to_domain([&] { ++ran; }, static_cast<unsigned>(i % 3));
-    }
-  }
+  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 64);
 }
@@ -181,8 +129,8 @@ TEST(SubstratePool, DirtyReturnIsDiscardedAndNextCheckoutIsClean) {
 /// The identity-check grid: two kernels × both platforms × {1,2,4} threads
 /// × both page kinds at class S. Both platforms matter: a stream group is
 /// keyed by (kernel, threads, page kind), so the two platforms of each key
-/// form a 2-point group that fuses into multi-lane shards — the path the
-/// identity tests exist to exercise.
+/// form a 2-point group that fuses into a leader plus a lane — the path
+/// the identity tests exist to exercise.
 SweepSpec small_sweep() {
   SweepSpec spec;
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
@@ -207,21 +155,20 @@ void expect_identical(const SweepResult& a, const SweepResult& b,
 }
 
 // The tentpole guarantee, stress-tested: randomized socket × core shapes
-// must change nothing but wall-clock behaviour. Every strategy's sharded
-// execution (static chunks, stealing promotions, substrate reuse) produces
-// records counter-identical to the single-worker baseline.
+// must change nothing but wall-clock behaviour. Both strategies' execution
+// (fused groups stolen across domains, substrate reuse) produces records
+// counter-identical to the single-worker baseline.
 TEST(TopologyIdentity, RandomShapesMatchSingleWorkerUnderEveryStrategy) {
   const SweepSpec spec = small_sweep();
   std::mt19937 rng(0x70b0);  // fixed seed: reproducible shape choices
   std::uniform_int_distribution<unsigned> dim(1, 3);
 
-  for (const Strategy strategy : {Strategy::Live, Strategy::Recorded,
-                                  Strategy::Multilane, Strategy::Analytic}) {
-    ExperimentEngine::Config base_cfg;
+  for (const Strategy strategy : {Strategy::Live, Strategy::Multilane}) {
+    Scheduler::Config base_cfg;
     base_cfg.workers = 1;
     base_cfg.strategy = strategy;
     base_cfg.topology = Topology::flat(1);
-    ExperimentEngine baseline(base_cfg);
+    Scheduler baseline(base_cfg);
     const SweepResult want = baseline.run(spec);
     EXPECT_EQ(want.failed(), 0u);
 
@@ -229,10 +176,10 @@ TEST(TopologyIdentity, RandomShapesMatchSingleWorkerUnderEveryStrategy) {
       Topology shape;
       shape.sockets = dim(rng);
       shape.cores_per_socket = dim(rng);
-      ExperimentEngine::Config cfg;
+      Scheduler::Config cfg;
       cfg.strategy = strategy;
       cfg.topology = shape;
-      ExperimentEngine engine(cfg);
+      Scheduler engine(cfg);
       EXPECT_EQ(engine.workers(), shape.workers());
       const SweepResult got = engine.run(spec);
       expect_identical(want, got,
@@ -242,7 +189,7 @@ TEST(TopologyIdentity, RandomShapesMatchSingleWorkerUnderEveryStrategy) {
   }
 }
 
-// Paging-policy overlays ride the same sharded path; a sample policy must
+// Paging-policy overlays ride the same fused path; a sample policy must
 // stay identical across shapes too (policies are part of the stream key, so
 // this exercises distinct substrate-pool keys per policy grid row).
 TEST(TopologyIdentity, PagingPolicySweepMatchesSingleWorker) {
@@ -252,30 +199,28 @@ TEST(TopologyIdentity, PagingPolicySweepMatchesSingleWorker) {
   ASSERT_TRUE(paging::policy_from_name("thp", thp.policy));
   spec.paging_policies = {paging::PolicySpec{}, thp};
 
-  ExperimentEngine::Config base_cfg;
+  Scheduler::Config base_cfg;
   base_cfg.workers = 1;
   base_cfg.topology = Topology::flat(1);
-  ExperimentEngine baseline(base_cfg);
+  Scheduler baseline(base_cfg);
   const SweepResult want = baseline.run(spec);
   EXPECT_EQ(want.failed(), 0u);
 
-  ExperimentEngine::Config cfg;
+  Scheduler::Config cfg;
   cfg.topology = Topology::parse("2x2");
-  ExperimentEngine engine(cfg);
+  Scheduler engine(cfg);
   expect_identical(want, engine.run(spec), "paging @ 2x2");
 }
 
-// The substrate pool must actually be exercised by a sweep: the figure-4
-// grid replays three thread counts per (kernel, page kind), and the key
-// excludes the thread count, so reuse is guaranteed even on one worker.
-// Sharding decisions exist only where lanes replay a stored trace in
-// shards — the analytic schedule — so the strategy is pinned to it.
+// The substrate pool must actually be exercised by a sweep: the fused groups
+// of the grid share three thread counts per (kernel, page kind), and the
+// key excludes the thread count, so reuse is guaranteed even on one worker.
 TEST(TopologyIdentity, SweepReportsSubstrateReuseAndShardingDecisions) {
-  ExperimentEngine::Config cfg;
+  Scheduler::Config cfg;
   cfg.workers = 1;
   cfg.topology = Topology::flat(1);
-  cfg.strategy = Strategy::Analytic;
-  ExperimentEngine engine(cfg);
+  cfg.strategy = Strategy::Multilane;
+  Scheduler engine(cfg);
   const SweepResult result = engine.run(small_sweep());
   EXPECT_EQ(result.failed(), 0u);
   EXPECT_GT(result.substrate_builds, 0u);
@@ -283,13 +228,6 @@ TEST(TopologyIdentity, SweepReportsSubstrateReuseAndShardingDecisions) {
   EXPECT_EQ(result.substrate_scrub_discards, 0u);
   EXPECT_EQ(result.domains, 1u);
   EXPECT_EQ(result.topology, "1x1");
-  // Every 4-thread stream group shards; each sharded group reports one
-  // decision row with a finite imbalance reading.
-  EXPECT_FALSE(result.sharding.empty());
-  for (const SweepResult::GroupSharding& g : result.sharding) {
-    EXPECT_GE(g.imbalance, 1.0);
-    EXPECT_GE(g.shards, 1u);
-  }
 }
 
 }  // namespace
