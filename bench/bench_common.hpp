@@ -144,19 +144,15 @@ inline exec::Scheduler make_scheduler(const Options& opts) {
   cfg.workers = workers_from(opts);
   cfg.strategy = strategy_from(opts);
   cfg.store_dir = opts.get("store-dir", "");
-  // --topology=SxC fixes the pool's socket × core shape (and its worker
-  // count) independently of the host, e.g. --topology=2x2 in CI identity
-  // checks; absent, the shape is detected (flat 1×N fallback).
-  const std::string topo = opts.get("topology", "");
-  if (!topo.empty()) {
-    try {
-      cfg.topology = exec::Topology::parse(topo);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(2);
-    }
-  }
   return exec::Scheduler(cfg);
+}
+
+/// Exits 2 on any command-line flag outside `own` and the flags
+/// make_scheduler reads (workers, strategy, store-dir).
+inline void require_known_flags(const Options& opts,
+                                std::vector<std::string> own) {
+  own.insert(own.end(), {"workers", "strategy", "store-dir"});
+  opts.require_known(own);
 }
 
 /// Provenance counts of a sweep: how many records ran "live" (leaders and

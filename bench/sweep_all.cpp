@@ -24,6 +24,7 @@
 // of the stream agree bit for bit — a diagnostic of the trace library.
 // --store-dir= layers the disk-persistent result store under the cache
 // (the same store the sweep daemon serves from).
+// Any flag not listed at the top of main() exits 2 naming it.
 //
 // --json-out=BENCH_sweep.json writes the machine-readable perf summary CI
 // trends: cold/warm wall-clock, warm cache-hit rate, lane occupancy, and a
@@ -123,6 +124,10 @@ std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  bench::require_known_flags(
+      opts, {"klass", "kernels", "paging", "thp-seed", "thp-frag", "thp-growth",
+             "thp-interval", "replay-check", "json", "json-host", "json-out",
+             "shm"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
@@ -351,11 +356,9 @@ int main(int argc, char** argv) {
     }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v6");
+    b.field("schema", "lpomp-bench-sweep-v7");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
-    b.field("topology", cold.topology);
-    b.field("domains", static_cast<std::uint64_t>(cold.domains));
     b.field("strategy", exec::strategy_name(strategy));
     b.key("paging");
     b.begin_array();
@@ -388,14 +391,6 @@ int main(int argc, char** argv) {
     b.field("fusable_points", fusable_points);
     b.field("singleton_points", singleton_points);
     b.field("lane_occupancy_overall", occupancy);
-    // Substrate-pool provenance over the cold + warm sweeps: reuse > 0 means
-    // fused groups shared a substrate instead of building one each.
-    b.field("substrate_builds", cold.substrate_builds + warm.substrate_builds);
-    b.field("substrate_reuse", cold.substrate_reuse + warm.substrate_reuse);
-    b.field("substrate_scrub_discards",
-            cold.substrate_scrub_discards + warm.substrate_scrub_discards);
-    b.field("local_steals", cold.local_steals + warm.local_steals);
-    b.field("remote_steals", cold.remote_steals + warm.remote_steals);
     // Per-stream-group occupancy. A group is one address stream: kernel ×
     // class × threads × page kind; "offloaded" counts its points served
     // from the stream as lane or fold followers; "fusable"

@@ -12,6 +12,7 @@
 // daemon restart — is answered from the store in microseconds instead of
 // being re-simulated. The per-request strategy (from the client) overrides
 // the daemon default given here.
+// Any other flag exits 2 naming it.
 //
 // On shutdown the daemon prints a one-line stats JSON (requests served,
 // ring queue peak, store hit/miss/byte counters) and exits 0; the ring
@@ -34,6 +35,7 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
+  bench::require_known_flags(opts, {"shm", "slots", "slot-mb"});
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");

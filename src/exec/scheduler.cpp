@@ -182,13 +182,6 @@ std::string SweepResult::summary_json(bool include_host) const {
     w.field("fused_lanes", static_cast<std::uint64_t>(fused_lanes));
     w.field("folded_lanes", static_cast<std::uint64_t>(folded_lanes));
     w.field("replay_fallbacks", static_cast<std::uint64_t>(replay_fallbacks));
-    w.field("domains", domains);
-    w.field("topology", topology);
-    w.field("substrate_builds", substrate_builds);
-    w.field("substrate_reuse", substrate_reuse);
-    w.field("substrate_scrub_discards", substrate_scrub_discards);
-    w.field("local_steals", local_steals);
-    w.field("remote_steals", remote_steals);
   }
   w.end_object();
   return w.str();
@@ -212,7 +205,7 @@ Scheduler::Scheduler(Config config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity),
       trace_store_(config_.trace_store_bytes),
-      pool_(config_.workers, config_.topology) {
+      pool_(config_.workers) {
   if (!config_.store_dir.empty()) {
     disk_store_ = std::make_unique<DiskResultStore>(config_.store_dir);
   }
@@ -266,8 +259,6 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   const ResultCache::Stats before = cache_.stats();
   const DiskResultStore::Stats store_before =
       disk_store_ != nullptr ? disk_store_->stats() : DiskResultStore::Stats{};
-  const trace::SubstratePool::Stats sub_before = substrate_pool_.stats();
-  const WorkStealingPool::StealStats steals_before = pool_.steal_stats();
   const Strategy active = resolve_strategy(strategy);
 
   // Stream groups, in first-seen order: under Multilane (default runner
@@ -292,8 +283,6 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
 
   SweepResult result;
   result.workers = pool_.workers();
-  result.domains = pool_.domains();
-  result.topology = pool_.topology().name();
   result.strategy = active;
   result.records.resize(tasks.size());
   FusedStats fused;
@@ -325,14 +314,6 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   result.fused_groups = fused.groups.load();
   result.fused_lanes = fused.lanes.load();
   result.folded_lanes = fused.folds.load();
-  const trace::SubstratePool::Stats sub_after = substrate_pool_.stats();
-  result.substrate_builds = sub_after.builds - sub_before.builds;
-  result.substrate_reuse = sub_after.reuses - sub_before.reuses;
-  result.substrate_scrub_discards =
-      sub_after.scrub_discards - sub_before.scrub_discards;
-  const WorkStealingPool::StealStats steals_after = pool_.steal_stats();
-  result.local_steals = steals_after.local - steals_before.local;
-  result.remote_steals = steals_after.remote - steals_before.remote;
   return result;
 }
 
@@ -371,8 +352,10 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
   std::vector<std::size_t> solos;
   std::vector<std::size_t> lane_idx;
 
-  trace::SubstratePool::Lease substrate = substrate_pool_.checkout(
-      lead_task.kernel, lead_task.klass, lead_task.page_kind);
+  // The memory substrate every lane reads; built per group, never mutated
+  // (LaneSet holds it const).
+  const trace::ReplaySubstrate substrate(lead_task.kernel, lead_task.klass,
+                                         lead_task.page_kind);
 
   // Fold (DESIGN.md §8): a point whose content key under its canonical
   // paging policy matches an earlier point's computes the same counters by
@@ -385,7 +368,7 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
     std::unordered_map<std::string, std::size_t> first;
     for (const std::size_t i : todo) {
       RunTask canon = tasks[i];
-      canon.paging = paging::canonical_policy(canon.paging, substrate->space());
+      canon.paging = paging::canonical_policy(canon.paging, substrate.space());
       const auto [it, fresh] = first.try_emplace(cache_key(canon), i);
       if (fresh) {
         runs.push_back(i);
@@ -395,8 +378,7 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
     }
   }
 
-  trace::LaneArena arena;
-  trace::LaneSet lanes(*substrate, lead_task.threads);
+  trace::LaneSet lanes(substrate, lead_task.threads);
   for (std::size_t j = 1; j < runs.size(); ++j) {
     const std::size_t i = runs[j];
     try {
@@ -407,7 +389,6 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
                            // with its own diagnostics) on its own
     }
   }
-  lanes.seal(&arena);
   trace::LaneFanout fanout(lanes);
 
   const auto t0 = std::chrono::steady_clock::now();

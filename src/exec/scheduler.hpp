@@ -51,7 +51,6 @@
 #include "exec/strategy.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "exec/topology.hpp"
 #include "trace/lane.hpp"
 #include "trace/store.hpp"
 
@@ -61,8 +60,6 @@ namespace lpomp::exec {
 struct SweepResult {
   std::vector<RunRecord> records;  ///< task order, independent of scheduling
   unsigned workers = 0;
-  unsigned domains = 1;            ///< topology domains (sockets) of the pool
-  std::string topology;            ///< pool shape, e.g. "2x2"
   double wall_ms = 0.0;
   ResultCache::Stats cache;        ///< LRU activity of THIS sweep only
   DiskResultStore::Stats store;    ///< disk-store activity of THIS sweep only
@@ -79,13 +76,6 @@ struct SweepResult {
   /// Always 0: the Scheduler no longer replays stored traces. Kept because
   /// perfbench reports it as exec.fallbacks.
   std::size_t replay_fallbacks = 0;
-
-  // Topology/substrate provenance of THIS sweep (host-side).
-  std::uint64_t substrate_builds = 0;      ///< substrates constructed
-  std::uint64_t substrate_reuse = 0;       ///< checkouts served from the pool
-  std::uint64_t substrate_scrub_discards = 0;  ///< dirty returns rejected
-  std::uint64_t local_steals = 0;   ///< same-domain queue steals
-  std::uint64_t remote_steals = 0;  ///< cross-domain queue steals
 
   std::size_t completed() const;  ///< records with ok
   std::size_t failed() const;
@@ -127,10 +117,6 @@ class Scheduler {
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
     std::string store_dir = {};
-    /// Socket × core shape of the pool. An explicit shape overrides
-    /// `workers` and fixes the domain layout (deterministic tests, CI);
-    /// unspecified → detected from the host, flat 1×N fallback.
-    Topology topology = {};
   };
 
   /// Maps a task to its record; the default runs npb::run_kernel. Tests
@@ -178,9 +164,6 @@ class Scheduler {
   /// both execute_task and the failure path start from).
   static RunRecord base_record(const RunTask& task);
 
-  const Topology& topology() const { return pool_.topology(); }
-  trace::SubstratePool& substrate_pool() { return substrate_pool_; }
-
  private:
   /// Shared counters the fused-group jobs report into during one sweep.
   struct FusedStats {
@@ -214,7 +197,6 @@ class Scheduler {
   ResultCache cache_;
   std::unique_ptr<DiskResultStore> disk_store_;
   trace::TraceStore trace_store_;
-  trace::SubstratePool substrate_pool_;
   WorkStealingPool pool_;
 };
 

@@ -4,29 +4,12 @@
 
 namespace lpomp::exec {
 
-WorkStealingPool::WorkStealingPool(unsigned workers, Topology topology)
-    : topology_(Topology::resolve(topology, workers)) {
-  const unsigned n = topology_.workers();
+WorkStealingPool::WorkStealingPool(unsigned workers) {
+  unsigned n = workers != 0 ? workers : std::thread::hardware_concurrency();
+  if (n == 0) n = 1;
   queues_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<Queue>());
-  }
-  // Victim order per worker: same-domain deques first (rotating from the
-  // next neighbour so siblings don't all hammer the same victim), then the
-  // remaining workers in the same rotated order.
-  steal_order_.resize(n);
-  same_domain_.resize(n);
-  for (unsigned self = 0; self < n; ++self) {
-    std::vector<std::size_t> near;
-    std::vector<std::size_t> far;
-    const unsigned home = topology_.domain_of(self);
-    for (unsigned d = 1; d < n; ++d) {
-      const unsigned victim = (self + d) % n;
-      (topology_.domain_of(victim) == home ? near : far).push_back(victim);
-    }
-    same_domain_[self] = near.size();
-    near.insert(near.end(), far.begin(), far.end());
-    steal_order_[self] = std::move(near);
   }
   threads_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
@@ -44,14 +27,6 @@ WorkStealingPool::~WorkStealingPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkStealingPool::enqueue(std::function<void()> fn, std::size_t target) {
-  {
-    std::lock_guard lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(fn));
-  }
-  work_cv_.notify_one();
-}
-
 void WorkStealingPool::submit(std::function<void()> fn) {
   std::size_t target;
   {
@@ -60,7 +35,11 @@ void WorkStealingPool::submit(std::function<void()> fn) {
     target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
   }
-  enqueue(std::move(fn), target);
+  {
+    std::lock_guard lock(queues_[target]->mutex);
+    queues_[target]->tasks.push_back(std::move(fn));
+  }
+  work_cv_.notify_one();
 }
 
 void WorkStealingPool::wait_idle() {
@@ -79,15 +58,13 @@ bool WorkStealingPool::pop_own(std::size_t self, std::function<void()>& out) {
 
 bool WorkStealingPool::steal_other(std::size_t self,
                                    std::function<void()>& out) {
-  const std::vector<std::size_t>& order = steal_order_[self];
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    Queue& victim = *queues_[order[k]];
+  const std::size_t n = queues_.size();
+  for (std::size_t d = 1; d < n; ++d) {
+    Queue& victim = *queues_[(self + d) % n];
     std::lock_guard lock(victim.mutex);
     if (victim.tasks.empty()) continue;
     out = std::move(victim.tasks.front());  // FIFO from the victim's end
     victim.tasks.pop_front();
-    (k < same_domain_[self] ? local_steals_ : remote_steals_)
-        .fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;

@@ -4,6 +4,7 @@
 // sensible defaults while still being steerable.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -89,6 +90,25 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
   bool has(const std::string& key) const { return values_.count(key) != 0; }
+
+  /// Exits 2 naming the first command-line flag outside `accepted`, so a
+  /// misspelt or retired flag (`--kernel=CG` for `--kernels=`) fails loudly
+  /// instead of silently running the default. LPOMP_* environment
+  /// fallbacks are not flags and are not checked.
+  void require_known(const std::vector<std::string>& accepted) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(accepted.begin(), accepted.end(), key) != accepted.end()) {
+        continue;
+      }
+      std::string valid;
+      for (const std::string& a : accepted) {
+        valid += (valid.empty() ? "--" : ", --") + a;
+      }
+      std::fprintf(stderr, "unknown flag --%s (accepted: %s)\n", key.c_str(),
+                   valid.c_str());
+      std::exit(2);
+    }
+  }
 
  private:
   [[noreturn]] static void reject(const std::string& key, const std::string& v,

@@ -310,6 +310,9 @@ class ThreadDecoder {
  public:
   /// `bytes` must outlive the decoder.
   explicit ThreadDecoder(std::string_view bytes) : bytes_(bytes) {}
+  /// A temporary string would die before the first next(): bind it to a
+  /// name first.
+  ThreadDecoder(std::string&&) = delete;
 
   enum class ItemKind : std::uint8_t { event, segment, end };
   struct Item {

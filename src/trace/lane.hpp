@@ -45,9 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,44 +57,12 @@
 
 namespace lpomp::trace {
 
-/// Page-aligned bump allocator for a lane group's SoA hot state. A group's
-/// arena lives on the worker executing the group, and every fresh chunk is
-/// touched (zero-filled) by that worker before use — under a first-touch
-/// NUMA policy the OS therefore places the backing pages on the worker's
-/// own memory node. Allocations are never freed individually; the arena
-/// releases everything at once when it dies with the group.
-class LaneArena {
- public:
-  explicit LaneArena(std::size_t chunk_bytes = 256 * 1024)
-      : chunk_bytes_(chunk_bytes) {}
-
-  LaneArena(const LaneArena&) = delete;
-  LaneArena& operator=(const LaneArena&) = delete;
-
-  /// `align` must be a power of two.
-  void* allocate(std::size_t bytes, std::size_t align);
-
-  std::size_t bytes_reserved() const { return reserved_; }
-  std::size_t chunks() const { return chunks_.size(); }
-
- private:
-  std::size_t chunk_bytes_;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  std::byte* cursor_ = nullptr;
-  std::size_t left_ = 0;
-  std::size_t reserved_ = 0;
-};
-
 /// The shared, read-only memory substrate of a lane group: physical memory,
 /// address space and the preallocated shared pool of the recording
 /// configuration, reproducing the live run's page-table layout exactly.
 ///
-/// A substrate is a pure function of (kernel, class, page kind) — lanes
-/// read it but never mutate it — so a finished replay leaves it exactly as
-/// constructed. fingerprint() hashes the observable layout (regions, page
-/// table shape, pool allocation state) and is captured once at
-/// construction; is_clean() lets SubstratePool verify that invariant on
-/// every return instead of trusting it.
+/// A substrate is a pure function of (kernel, class, page kind). Lanes read
+/// it but never mutate it: LaneSet only ever holds it const.
 class ReplaySubstrate {
  public:
   ReplaySubstrate(npb::Kernel kernel, npb::Klass klass, PageKind page_kind);
@@ -109,19 +75,6 @@ class ReplaySubstrate {
   npb::Kernel kernel() const { return kernel_; }
   npb::Klass klass() const { return klass_; }
   PageKind page_kind() const { return page_kind_; }
-
-  /// Escape hatch for scrub tests and diagnostics only — replay code must
-  /// never mutate the substrate (that is the invariant the pool checks).
-  mem::AddressSpace& mutable_space() { return *space_; }
-
-  /// Digest of the observable memory-system layout: regions (base, length,
-  /// kind, name), page-table node and per-kind page counts, arena cursors
-  /// and shared-pool allocation state. Equal digests ⇔ a replay cannot
-  /// distinguish the two substrates.
-  std::uint64_t fingerprint() const;
-  /// fingerprint() captured at the end of construction.
-  std::uint64_t clean_fingerprint() const { return clean_fingerprint_; }
-  bool is_clean() const { return fingerprint() == clean_fingerprint_; }
 
   /// Base address the live run's text mapping would occupy for this code
   /// page kind (the mapping itself is never materialised — see above).
@@ -137,88 +90,6 @@ class ReplaySubstrate {
   std::unique_ptr<mem::AddressSpace> space_;
   std::unique_ptr<mem::HugeTlbFs> hugetlbfs_;
   std::unique_ptr<core::SharedAllocator> alloc_;
-  std::uint64_t clean_fingerprint_ = 0;
-};
-
-/// Reset-to-clean cache of ReplaySubstrates keyed by (kernel, class, page
-/// kind) — the tuple the substrate is a pure function of. Building one
-/// costs ~1 ms (PhysMem + eager pool mapping), ~20 % of a class-S CG
-/// replay; checking one out is a map lookup. Substrates are checked out
-/// exclusively (a lease), and every return is verified against the clean
-/// fingerprint captured at construction: a substrate some bug mutated is
-/// discarded (counted in scrub_discards), never recycled — reuse is an
-/// optimisation, bit-cleanliness is the contract.
-class SubstratePool {
- public:
-  struct Stats {
-    std::uint64_t builds = 0;         ///< checkouts that constructed
-    std::uint64_t reuses = 0;         ///< checkouts served from the pool
-    std::uint64_t scrub_discards = 0; ///< returns rejected as dirty
-  };
-
-  /// Exclusive use of one substrate; returns it to the pool on destruction
-  /// (where it passes through the scrub check like any other return).
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(SubstratePool* pool, std::shared_ptr<ReplaySubstrate> substrate)
-        : pool_(pool), substrate_(std::move(substrate)) {}
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), substrate_(std::move(other.substrate_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        pool_ = other.pool_;
-        substrate_ = std::move(other.substrate_);
-        other.pool_ = nullptr;
-      }
-      return *this;
-    }
-    ~Lease() { release(); }
-
-    ReplaySubstrate& operator*() const { return *substrate_; }
-    ReplaySubstrate* operator->() const { return substrate_.get(); }
-    ReplaySubstrate* get() const { return substrate_.get(); }
-    explicit operator bool() const { return substrate_ != nullptr; }
-
-   private:
-    void release() {
-      if (pool_ != nullptr && substrate_ != nullptr) {
-        pool_->give_back(std::move(substrate_));
-      }
-      pool_ = nullptr;
-      substrate_.reset();
-    }
-    SubstratePool* pool_ = nullptr;
-    std::shared_ptr<ReplaySubstrate> substrate_;
-  };
-
-  explicit SubstratePool(std::size_t capacity_per_key = 4)
-      : capacity_per_key_(capacity_per_key) {}
-
-  /// A clean substrate for the key, recycled when one is resident, freshly
-  /// constructed otherwise. May throw whatever ReplaySubstrate's
-  /// constructor throws (startup-style failure, as live runs would see).
-  Lease checkout(npb::Kernel kernel, npb::Klass klass, PageKind page_kind);
-
-  /// Returns a substrate; dirty ones (fingerprint mismatch) are discarded.
-  /// Normally invoked by ~Lease.
-  void give_back(std::shared_ptr<ReplaySubstrate> substrate);
-
-  Stats stats() const;
-  std::size_t resident() const;
-  void clear();
-
- private:
-  static std::string key_of(npb::Kernel kernel, npb::Klass klass,
-                            PageKind page_kind);
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::vector<std::shared_ptr<ReplaySubstrate>>> free_;
-  Stats stats_;
-  std::size_t capacity_per_key_;
 };
 
 /// N independent simulator states over one ReplaySubstrate, addressed as
@@ -240,14 +111,6 @@ class LaneSet {
   unsigned nthreads() const { return nthreads_; }
 
   sim::Machine& machine(std::size_t lane) { return *machines_[lane]; }
-
-  /// Packs the SoA index into one contiguous slab once all lanes are added
-  /// (further add_lane calls unseal). With an arena the slab lives in it —
-  /// a group seals into its own first-touch arena so the index the decode
-  /// loop sweeps is resident on the executing worker's memory node; without
-  /// one the slab is owned by the LaneSet. Optional: the unsealed path
-  /// reads by_tid_ directly and is equally correct.
-  void seal(LaneArena* arena = nullptr);
 
   // --- event fan-out (hot path) --------------------------------------------
   // Apply one source event to every lane. Thread-`tid` entry points sweep
@@ -310,8 +173,7 @@ class LaneSet {
 
  private:
   sim::ThreadSim* const* row(unsigned tid) const {
-    return slab_ != nullptr ? slab_ + std::size_t{tid} * machines_.size()
-                            : by_tid_[tid].data();
+    return by_tid_[tid].data();
   }
 
   const ReplaySubstrate* substrate_;
@@ -321,9 +183,6 @@ class LaneSet {
   /// SoA hot-state index: by_tid_[tid][lane] = that lane's ThreadSim for
   /// simulated thread tid.
   std::vector<std::vector<sim::ThreadSim*>> by_tid_;
-  /// Sealed index: slab_[tid * lanes + lane]; null until seal().
-  sim::ThreadSim** slab_ = nullptr;
-  std::vector<sim::ThreadSim*> slab_storage_;  ///< backing when no arena
 };
 
 /// TraceSink adapter feeding a live run's event stream straight into a

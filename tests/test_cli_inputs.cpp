@@ -5,6 +5,9 @@
 // retired one).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bench/bench_common.hpp"
 
 namespace lpomp {
@@ -67,6 +70,27 @@ TEST_F(StrictInputs, RetiredStrategySpellingsExitTwo) {
                 ::testing::ExitedWithCode(2),
                 "is retired; use --strategy= \\(live, multilane, auto\\)")
         << retired;
+  }
+}
+
+// A flag the binary does not read exits 2 naming it, instead of running the
+// default: a misspelt --kernel= would run all eight kernels, --help a
+// minutes-long class-R sweep.
+TEST_F(StrictInputs, UnknownFlagExitsTwo) {
+  const std::vector<std::string> own = {"klass", "kernels"};
+  bench::require_known_flags(
+      options({"--klass=S", "--kernels=CG", "--workers=2", "--strategy=live",
+               "--store-dir=x"}),
+      own);
+  for (const std::string flag : {"--kernel=CG", "--topology=2x2", "--help"}) {
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_EXIT(bench::require_known_flags(
+                    options({"--klass=S", flag.c_str()}), own),
+                ::testing::ExitedWithCode(2),
+                "unknown flag " + name +
+                    " \\(accepted: --klass, --kernels, --workers, "
+                    "--strategy, --store-dir\\)")
+        << flag;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the parallel experiment engine (exec::Scheduler): scheduling
 // determinism (the same sweep on 1 worker and N workers yields identical
-// results), the content-keyed result cache (hits, eviction, key
+// results, under both strategies and a non-native paging policy), the
+// work-stealing pool, the content-keyed result cache (hits, eviction, key
 // sensitivity), failure isolation, and the JSON observability layer. The
 // `ExperimentEngine` suite name is the engine's historical name, kept so
 // the test IDs stay stable.
@@ -12,8 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "exec/scheduler.hpp"
 #include "exec/json.hpp"
+#include "exec/scheduler.hpp"
+#include "exec/thread_pool.hpp"
+#include "paging/policy.hpp"
 
 namespace lpomp::exec {
 namespace {
@@ -114,6 +117,87 @@ TEST(ExperimentEngine, OneWorkerAndManyWorkersAgreeExactly) {
   // what `sweep_all --workers=1` vs `--workers=N` diffs).
   EXPECT_EQ(a.to_json(/*include_host=*/false),
             b.to_json(/*include_host=*/false));
+}
+
+/// The fused-path grid: two kernels × both platforms × {1,2,4} threads ×
+/// both page kinds at class S. Both platforms matter: a stream group is
+/// keyed by (kernel, threads, page kind), so the two platforms of each key
+/// form a 2-point group that fuses into a leader plus a lane.
+SweepSpec fused_sweep() {
+  SweepSpec spec = small_sweep();
+  spec.platforms = {sim::ProcessorSpec::opteron270(),
+                    sim::ProcessorSpec::xeon_ht()};
+  spec.threads = {1, 2, 4};
+  return spec;
+}
+
+/// Counter-identity of two sweeps: every record same_result() and the
+/// deterministic JSON projections byte-identical (what CI diffs).
+void expect_identical(const SweepResult& a, const SweepResult& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.records.size(), b.records.size()) << label;
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_TRUE(a.records[i].same_result(b.records[i]))
+        << label << " diverged at " << a.records[i].kernel << " "
+        << a.records[i].threads << "T " << a.records[i].page_kind;
+  }
+  EXPECT_EQ(a.to_json(false), b.to_json(false)) << label;
+}
+
+// Worker count changes scheduling only: under both strategies (fused groups
+// stolen across workers, lanes, folds) every worker count reproduces the
+// single-worker records.
+TEST(WorkerIdentity, WorkerCountsMatchSingleWorkerUnderEveryStrategy) {
+  const SweepSpec spec = fused_sweep();
+  for (const Strategy strategy : {Strategy::Live, Strategy::Multilane}) {
+    Scheduler baseline({.workers = 1, .strategy = strategy});
+    const SweepResult want = baseline.run(spec);
+    EXPECT_EQ(want.failed(), 0u);
+    for (const unsigned workers : {2u, 3u, 4u}) {
+      Scheduler engine({.workers = workers, .strategy = strategy});
+      EXPECT_EQ(engine.workers(), workers);
+      expect_identical(want, engine.run(spec),
+                       std::string(strategy_name(strategy)) + " @ " +
+                           std::to_string(workers) + " workers");
+    }
+  }
+}
+
+// Paging-policy overlays ride the same fused path (thp points fold onto or
+// run beside native ones); the CG native+thp grid must match at 4 workers.
+TEST(WorkerIdentity, PagingPolicySweepMatchesSingleWorker) {
+  SweepSpec spec = fused_sweep();
+  spec.kernels = {npb::Kernel::CG};
+  paging::PolicySpec thp;
+  ASSERT_TRUE(paging::policy_from_name("thp", thp.policy));
+  spec.paging_policies = {paging::PolicySpec{}, thp};
+
+  Scheduler baseline({.workers = 1});
+  const SweepResult want = baseline.run(spec);
+  EXPECT_EQ(want.failed(), 0u);
+  Scheduler engine({.workers = 4});
+  expect_identical(want, engine.run(spec), "paging @ 4 workers");
+}
+
+TEST(WorkStealingPool, RunsEveryTaskAtFixedWorkerCounts) {
+  for (const unsigned workers : {1u, 2u, 3u, 4u}) {
+    WorkStealingPool pool(workers);
+    EXPECT_EQ(pool.workers(), workers);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
+    pool.wait_idle();
+    EXPECT_EQ(ran.load(), 64) << workers << " workers";
+  }
+}
+
+// 0 asks for one worker per host hardware thread, and never for none.
+TEST(WorkStealingPool, ZeroWorkersRunEveryTaskOnAtLeastOne) {
+  WorkStealingPool pool(0);
+  EXPECT_GE(pool.workers(), 1u);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ExperimentEngine, RepeatedSweepIsServedFromCache) {

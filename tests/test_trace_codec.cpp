@@ -441,7 +441,8 @@ TEST(TraceCodec, TruncatedStridedRunThrows) {
   // + count + stride; cutting any of them is a truncation, and the missing
   // END marker makes even the full first record unterminated).
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ThreadDecoder dec(bytes.substr(0, cut));
+    const std::string prefix = bytes.substr(0, cut);
+    ThreadDecoder dec(prefix);
     EXPECT_THROW(
         {
           while (dec.next().kind != ThreadDecoder::ItemKind::end) {
