@@ -9,7 +9,7 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"klass", "kernels"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
 

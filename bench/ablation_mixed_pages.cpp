@@ -12,6 +12,7 @@
 // Expected: all-2MB wastes ~2 MB per small allocation and burns the small
 // 2 MB TLB banks on scattered small objects; mixed keeps the all-2MB
 // performance on the big arrays with the all-4KB memory efficiency.
+#include "bench/cli.hpp"
 #include "sim/machine.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
@@ -95,7 +96,7 @@ PolicyResult run_policy(const std::vector<Alloc>& allocs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"iterations"});
   const auto iterations = static_cast<count_t>(opts.get_int("iterations", 2));
 
   // 3 big arrays + 192 small allocations (16-64 KB), like a real runtime's

@@ -10,6 +10,7 @@
 // reach, the copy loops pay a page walk + prefetcher re-arm every 4 KB and
 // huge pages win — the same mechanism as the OpenMP results, now on the
 // message-passing substrate.
+#include "bench/cli.hpp"
 #include "mpi/mpi.hpp"
 #include "prof/profile.hpp"
 #include "sim/processor_spec.hpp"
@@ -89,7 +90,7 @@ RunResult allreduce(PageKind kind, std::size_t n, int rounds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"rounds"});
   const int rounds = static_cast<int>(opts.get_int("rounds", 4));
 
   std::cout << "Future work (paper §6): large pages for intra-node MPI\n"

@@ -11,6 +11,7 @@
 // This is why "preallocation of large pages is likely to reduce the
 // complexity of the allocation algorithm and also the latency" (paper
 // §3.3) — and why the runtime reserves its whole shared image at startup.
+#include "bench/cli.hpp"
 #include "mem/hugetlbfs.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
@@ -107,7 +108,7 @@ TrialResult pool_trial(std::size_t requests) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"requests"});
   const auto requests = static_cast<std::size_t>(opts.get_int("requests", 64));
 
   std::cout << "Ablation (paper §3.3): preallocated hugetlbfs pool vs "

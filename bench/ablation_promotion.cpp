@@ -16,6 +16,7 @@
 // the 4 KB baseline — the paper's §3.3 argument that for a dedicated
 // OpenMP node, preallocating everything at startup "is practical and likely
 // to yield a better improvement in performance".
+#include "bench/cli.hpp"
 #include "mem/promotion.hpp"
 #include "sim/machine.hpp"
 #include "support/format.hpp"
@@ -126,7 +127,7 @@ RunResult run_policy(std::optional<PageKind> static_kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"rounds"});
   const auto rounds = static_cast<count_t>(opts.get_int("rounds", 3));
 
   std::cout << "Ablation (paper §5 related work): startup preallocation vs "

@@ -23,7 +23,10 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"klass", "kernels", "json", "json-host", "workers", "strategy",
+       "store-dir"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const npb::Kernel kernel =
       bench::kernels_from(opts).empty() ? npb::Kernel::SP

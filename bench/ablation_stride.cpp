@@ -10,6 +10,7 @@
 //    tiny 2 MB TLB banks (8-entry L1, no L2 backing on the Opteron) thrash
 //    while the 512-entry 4 KB L2 DTLB can still cover the working set —
 //    the crossover where small pages win back, exactly the caveat in §3.2.
+#include "bench/cli.hpp"
 #include "sim/machine.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
@@ -20,7 +21,8 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv, {"region-mb", "accesses"});
   const auto region_bytes =
       static_cast<std::size_t>(opts.get_int("region-mb", 64)) * MiB(1);
   const auto accesses = static_cast<count_t>(opts.get_int("accesses", 2000000));

@@ -98,20 +98,11 @@ inline std::string improvement(double t4k, double t2m) {
 
 // --- experiment-engine plumbing (parallel harnesses) -------------------------
 
-/// The sweep's execution strategy from --strategy=live|multilane|auto
-/// (default auto). Results are bit-identical under every strategy. A
-/// retired spelling exits 2 instead of silently running the default:
-/// --strategy=recorded|analytic like any unknown name, and the old
-/// --no-trace/--no-multilane/--no-analytic flags, which Options would
-/// otherwise ignore.
+/// The sweep's execution strategy from --strategy=live|auto (default
+/// auto). Results are bit-identical under every strategy. A retired
+/// spelling (--strategy=recorded|analytic|multilane) exits 2 like any
+/// unknown name.
 inline exec::Strategy strategy_from(const Options& opts) {
-  for (const char* retired : {"no-trace", "no-multilane", "no-analytic"}) {
-    if (!opts.get(retired, "").empty()) {
-      std::cerr << "--" << retired << " is retired; use --strategy= ("
-                << exec::kStrategyNames << ")\n";
-      std::exit(2);
-    }
-  }
   const std::string name = opts.get("strategy", "auto");
   const std::optional<exec::Strategy> s = exec::strategy_from_name(name);
   if (!s) {
@@ -138,7 +129,7 @@ inline unsigned workers_from(const Options& opts) {
 /// --strategy= picks the execution strategy (strategy_from above);
 /// --store-dir= layers the disk-persistent result store under the LRU so
 /// results survive the process. Results are bit-identical under any
-/// combination.
+/// combination. A main that calls it accepts these three flags.
 inline exec::Scheduler make_scheduler(const Options& opts) {
   exec::Scheduler::Config cfg;
   cfg.workers = workers_from(opts);
@@ -147,17 +138,9 @@ inline exec::Scheduler make_scheduler(const Options& opts) {
   return exec::Scheduler(cfg);
 }
 
-/// Exits 2 on any command-line flag outside `own` and the flags
-/// make_scheduler reads (workers, strategy, store-dir).
-inline void require_known_flags(const Options& opts,
-                                std::vector<std::string> own) {
-  own.insert(own.end(), {"workers", "strategy", "store-dir"});
-  opts.require_known(own);
-}
-
 /// Provenance counts of a sweep: how many records ran "live" (leaders and
 /// solo runs), rode a fused group as a "lane", or were copied from a
-/// provably equivalent point of their group ("fold").
+/// provably equivalent point ("fold").
 struct TraceProvenance {
   std::size_t live = 0;
   std::size_t lane = 0;

@@ -1,8 +1,9 @@
-// Strict kernel and class names for every command-line front end: the bench
-// harnesses (through bench_common.hpp) and the examples. A name outside the
-// valid set exits 2 and prints that set instead of silently running some
-// other kernel or class. Depends only on the NPB kernel table, so examples
-// that link no engine can share it.
+// Strict command lines for every front end: the bench harnesses (through
+// bench_common.hpp) and the examples. Every main parses its arguments with
+// parse_flags, so a flag outside the binary's accepted set exits 2; a kernel
+// or class name outside the valid set exits 2 and prints that set. Nothing
+// silently runs some other kernel, class or default instead. Depends only
+// on the NPB kernel table, so examples that link no engine can share it.
 #pragma once
 
 #include <cstdlib>
@@ -14,6 +15,17 @@
 #include "support/options.hpp"
 
 namespace lpomp::bench {
+
+/// The command-line entry of every bench and example main: parses argv and
+/// exits 2 on any flag outside `accepted`, naming it and the accepted set —
+/// a misspelt `--kernel=` for `--kernels=`, or `--help`, never runs the
+/// default. LPOMP_* environment fallbacks are not flags and are not checked.
+inline Options parse_flags(int argc, char** argv,
+                           const std::vector<std::string>& accepted) {
+  Options opts(argc, argv);
+  opts.require_known(accepted);
+  return opts;
+}
 
 /// Parses --klass=; an unknown class exits 2 with the valid set instead of
 /// silently running class R.

@@ -14,7 +14,8 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv, {"klass", "kernels", "threads"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();

@@ -22,7 +22,10 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"klass", "kernels", "paging", "thp-seed", "thp-frag", "thp-growth",
+       "thp-interval", "json", "json-host", "workers", "strategy", "store-dir"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);

@@ -14,7 +14,11 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"klass", "kernels", "threads", "paging", "thp-seed", "thp-frag",
+       "thp-growth", "thp-interval", "json", "json-host", "workers",
+       "strategy", "store-dir"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));
 

@@ -4,6 +4,7 @@
 // drives billions of times, plus the runtime primitives.
 #include <benchmark/benchmark.h>
 
+#include "bench/cli.hpp"
 #include "cache/cache.hpp"
 #include "core/runtime.hpp"
 #include "dsm/msg_channel.hpp"
@@ -149,4 +150,12 @@ BENCHMARK(BM_Reduction);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// google-benchmark consumes its own --benchmark_* flags; any other flag
+// exits 2 like every other bench.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  bench::parse_flags(argc, argv, {});
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

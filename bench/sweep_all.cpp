@@ -9,16 +9,16 @@
 //     extra — the content-keyed cache serves them);
 //   * Figure 3 — aggregate ITLB miss rate at 4 threads (negligible).
 //
-// The sweep is fused by default: each unique address stream (kernel ×
-// class × threads × page kind) is served as one group — the first grid
-// point runs live and every other platform/policy point's simulator state
+// The sweep is admitted by default (--strategy=auto): points whose paging
+// policy is provably equivalent to an earlier point's (base4k over a 4 KB
+// layout, thp with every chunk promoted) copy that point's outcome instead
+// of running; a unique address stream (kernel × class × threads × page
+// kind) still holding at least three unique points runs as one fused group
+// — the first point runs live and every other point's simulator state
 // tracks the leader's event stream as a lane, skipping the kernel numerics
-// without changing a single counter; a point whose paging policy is
-// provably equivalent to an earlier point's (base4k over a 4 KB layout,
-// thp with every chunk promoted) copies that point's outcome instead of
-// running a lane. --strategy= picks the execution strategy explicitly:
-// multilane (the default via auto) or live (every point runs on its own);
-// both produce bit-identical grids.
+// without changing a single counter; every other point runs on its own.
+// --strategy=live is the reference: every point runs on its own, with no
+// fold and no fusion. Both produce bit-identical grids.
 // --replay-check records each address stream once and verifies, for every
 // task, that a live run, an interpreted replay and a compiled-plan replay
 // of the stream agree bit for bit — a diagnostic of the trace library.
@@ -123,17 +123,16 @@ std::size_t replay_check(const std::vector<exec::RunTask>& tasks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  bench::require_known_flags(
-      opts, {"klass", "kernels", "paging", "thp-seed", "thp-frag", "thp-growth",
-             "thp-interval", "replay-check", "json", "json-host", "json-out",
-             "shm"});
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"klass", "kernels", "paging", "thp-seed", "thp-frag", "thp-growth",
+       "thp-interval", "replay-check", "json", "json-host", "json-out", "shm",
+       "workers", "strategy", "store-dir"});
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
 
   exec::SweepSpec spec = exec::SweepSpec::figure4(klass);
   spec.kernels = bench::kernels_from(opts);
-  const exec::Strategy strategy =
-      exec::resolve_strategy(bench::strategy_from(opts));
+  const exec::Strategy strategy = bench::strategy_from(opts);
   spec.trace_backed = strategy != exec::Strategy::Live;
 
   // --paging=native,hugetlb2m,huge1g,thp adds the paging-policy axis. Every

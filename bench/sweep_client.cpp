@@ -5,7 +5,7 @@
 //                [--pages=4KB,2MB] [--code-pages=4KB]
 //                [--paging=native,hugetlb2m,huge1g,thp] [--seed=N]
 //                [--per-task-seeds]
-//                [--strategy=live|multilane|auto]
+//                [--strategy=live|auto]
 //                [--repeat=1] [--timeout-ms=120000] [--json=FILE] [--quiet]
 //   sweep_client --stats [--shm=/lpomp-sweep]
 //
@@ -47,7 +47,11 @@ std::vector<std::string> split_csv(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"stats", "shm", "timeout-ms", "kernels", "klass", "platforms",
+       "threads", "pages", "code-pages", "paging", "seed", "per-task-seeds",
+       "strategy", "repeat", "json", "quiet"});
 
   if (opts.get_flag("stats")) {
     try {

@@ -1,7 +1,7 @@
 // sweep_service — the persistent sweep daemon.
 //
 //   sweep_service [--shm=/lpomp-sweep] [--store-dir=PATH] [--workers=N]
-//                 [--strategy=live|multilane|auto]
+//                 [--strategy=live|auto]
 //                 [--slots=8] [--slot-mb=1]
 //
 // Creates the shared-memory request ring and serves sweep_client
@@ -34,8 +34,9 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
-  bench::require_known_flags(opts, {"shm", "slots", "slot-mb"});
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"shm", "slots", "slot-mb", "workers", "strategy", "store-dir"});
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");

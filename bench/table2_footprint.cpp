@@ -12,7 +12,7 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"klass", "detail"});
   const npb::Klass klass =
       bench::klass_by_name(opts.get("klass", "B"));
 

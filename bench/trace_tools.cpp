@@ -113,12 +113,6 @@ int cmd_replay(const Options& opts) {
     std::cerr << "replay: need --in=<file>\n";
     return 2;
   }
-  if (opts.has("strategy")) {
-    // Scheduler strategies do not apply to one file: replay always runs the
-    // compiled plan (`bench` times it against the interpreter).
-    std::cerr << "replay: --strategy= is not an option of replay\n";
-    return 2;
-  }
   const trace::Trace trace = trace::load_trace_file(in);
   trace::ReplayConfig cfg;
   cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
@@ -477,7 +471,10 @@ int cmd_stats(const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"in", "out", "kernel", "klass", "platform", "threads", "pages",
+       "code-pages", "seed", "check", "repeat", "json-out"});
   const std::string cmd =
       opts.positional().empty() ? "" : opts.positional().front();
   try {

@@ -8,6 +8,7 @@
 //   $ ./mpi_pingpong [--mb=8] [--rounds=4]
 #include <iostream>
 
+#include "bench/cli.hpp"
 #include "mpi/mpi.hpp"
 #include "support/format.hpp"
 #include "support/options.hpp"
@@ -57,7 +58,7 @@ double run(PageKind kind, std::size_t n, int rounds, count_t* walks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"mb", "rounds"});
   const std::size_t bytes =
       static_cast<std::size_t>(opts.get_int("mb", 8)) * MiB(1);
   const int rounds = static_cast<int>(opts.get_int("rounds", 4));

@@ -46,7 +46,9 @@ int run_one(npb::Kernel kernel, const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv,
+      {"klass", "threads", "pages", "platform", "msg-barrier", "profile"});
   std::string which = "all";
   if (!opts.positional().empty()) which = opts.positional().front();
 

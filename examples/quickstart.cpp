@@ -8,6 +8,7 @@
 //   $ ./quickstart [--elements=8000000] [--threads=4]
 #include <iostream>
 
+#include "bench/cli.hpp"
 #include "core/parallel_for.hpp"
 #include "core/runtime.hpp"
 #include "prof/profile.hpp"
@@ -59,7 +60,7 @@ double run_sum(PageKind kind, std::size_t elements, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(argc, argv, {"elements", "threads"});
   const auto elements = static_cast<std::size_t>(
       opts.get_int("elements", 8000000));
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 4));

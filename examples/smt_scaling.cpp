@@ -20,7 +20,8 @@
 using namespace lpomp;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv, {"kernel", "klass", "msg-barrier"});
   const npb::Kernel kernel = bench::kernel_by_name(opts.get("kernel", "SP"));
   const npb::Klass klass = bench::klass_by_name(opts.get("klass", "R"));
   const bool msg_barrier = opts.get_flag("msg-barrier");

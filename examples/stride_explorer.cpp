@@ -7,6 +7,7 @@
 //   $ ./stride_explorer [--platform=opteron|xeon] [--mb=48] [--threads=1]
 #include <iostream>
 
+#include "bench/cli.hpp"
 #include "core/runtime.hpp"
 #include "prof/profile.hpp"
 #include "sim/processor_spec.hpp"
@@ -64,7 +65,8 @@ Point run_stride(const sim::ProcessorSpec& spec, PageKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts = bench::parse_flags(
+      argc, argv, {"platform", "mb", "threads"});
   const std::string platform = opts.get("platform", "opteron");
   const sim::ProcessorSpec spec = platform == "xeon"
                                       ? sim::ProcessorSpec::xeon_ht()

@@ -57,7 +57,7 @@ struct RunRecord {
   double wall_ms = 0.0;
   /// How this result was produced: "live" (full kernel run), "lane" (lane
   /// of a fused multi-lane group tracking a live leader) or "fold" (outcome
-  /// copied from a point of the same fused group whose paging policy is
+  /// copied from an earlier point of the sweep whose paging policy is
   /// provably equivalent). Records persisted by older versions may also
   /// carry the retired "record", "replay", "analytic" or "fallback".
   /// Scheduling decides which task takes which path, so this is provenance,

@@ -1,8 +1,9 @@
 #include "exec/scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "exec/json.hpp"
@@ -261,48 +262,68 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
       disk_store_ != nullptr ? disk_store_->stats() : DiskResultStore::Stats{};
   const Strategy active = resolve_strategy(strategy);
 
-  // Stream groups, in first-seen order: under Multilane (default runner
-  // only — a substituted runner owns execution entirely) the trace-backed
-  // tasks sharing an address stream form one group; every other task is a
-  // group of its own.
-  const bool fuse = active == Strategy::Multilane && !custom_runner_;
-  std::vector<std::vector<std::size_t>> groups;
-  {
-    std::unordered_map<std::string, std::size_t> group_of;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (!fuse || !tasks[i].trace_backed) {
-        groups.push_back({i});
-        continue;
-      }
-      const auto [it, fresh] =
-          group_of.try_emplace(task_stream_key(tasks[i]), groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  }
-
   SweepResult result;
   result.workers = pool_.workers();
   result.strategy = active;
   result.records.resize(tasks.size());
-  FusedStats fused;
+  std::vector<RunRecord>& records = result.records;
+
+  // Under auto with the default runner (a substituted runner owns execution
+  // entirely) admission folds and fuses; live submits every task as is.
+  const Admission admission =
+      admit(tasks, active == Strategy::Auto && !custom_runner_);
+
   // Each task writes its own pre-assigned slot, so the result order is the
-  // task order no matter how the pool schedules. A multi-point group
-  // becomes ONE fused job: its leader runs live while every follower's
-  // simulator state tracks the same event stream as a lane
-  // (run_fused_group) — one pool slot per group, groups still running in
-  // parallel across workers. All locals captured here outlive the jobs:
-  // run() blocks in wait_idle() until every one has finished.
-  for (const std::vector<std::size_t>& group : groups) {
-    if (group.size() == 1) {
-      RunRecord* slot = &result.records[group.front()];
-      const RunTask* task = &tasks[group.front()];
-      pool_.submit([this, slot, task] { *slot = run_one(*task); });
+  // task order no matter how the pool schedules. A fused group is ONE pool
+  // job: its leader runs live while every follower's simulator state tracks
+  // the same event stream as a lane (run_fused_group). All locals captured
+  // here outlive the jobs: run() blocks in wait_idle() until every one has
+  // finished.
+  FusedStats fused;
+  auto submit_one = [this, &tasks, &records](std::size_t i) {
+    pool_.submit(
+        [this, &tasks, &records, i] { records[i] = run_one(tasks[i]); });
+  };
+  for (const std::vector<std::size_t>& job : admission.jobs) {
+    if (job.size() == 1) {
+      submit_one(job.front());
     } else {
-      pool_.submit([this, &group, &tasks, &result, &fused] {
-        run_fused_group(group, tasks, result.records, fused);
+      pool_.submit([this, &job, &tasks, &records, &fused] {
+        run_fused_group(job, tasks, records, fused);
       });
     }
+  }
+  pool_.wait_idle();
+
+  // Folded points, once their sources have finished. A point already cached
+  // under its own key (in a fresh process, by the disk store) is served from
+  // there, so a warm pass stays 100 % cache; otherwise it copies its
+  // source's record. Equal fold keys leave only the policy to tell the two
+  // points apart, so the copy restamps just the policy's echo and the
+  // content key. A point whose source failed runs as its own job, so it
+  // fails (or not) with its own diagnostics.
+  for (const auto& [i, source] : admission.copies) {
+    if (!records[source].ok) {
+      submit_one(i);
+      continue;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const std::string key = cache_key(tasks[i]);
+    if (std::optional<RunRecord> hit = probe(key)) {
+      hit->wall_ms = ms_since(t1);
+      records[i] = std::move(*hit);
+      continue;
+    }
+    RunRecord record = records[source];
+    record.paging = tasks[i].paging.name();
+    record.key_digest = digest_hex(key);
+    record.trace_source = "fold";
+    record.cache_hit = false;
+    record.store_hit = false;
+    record.wall_ms = ms_since(t1);
+    commit(key, record);
+    records[i] = std::move(record);
+    ++result.folded_lanes;
   }
   pool_.wait_idle();
 
@@ -313,8 +334,89 @@ SweepResult Scheduler::run(const std::vector<RunTask>& tasks,
   }
   result.fused_groups = fused.groups.load();
   result.fused_lanes = fused.lanes.load();
-  result.folded_lanes = fused.folds.load();
   return result;
+}
+
+Scheduler::Admission Scheduler::admit(const std::vector<RunTask>& tasks,
+                                      bool fold) {
+  Admission admission;
+  if (!fold) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      admission.jobs.push_back({i});
+    }
+    return admission;
+  }
+
+  // Fold keys: cache_key under the canonical paging policy. A point the LRU
+  // already holds keeps its own key and job, so a warm pass builds nothing.
+  // canonical_policy reads the address space only for base4k and thp
+  // (paging::folds_by_layout); any other point's fold key is its own
+  // content key. Each layout such points need is built by one pool job and
+  // dropped when that job ends, before any sweep job runs.
+  std::vector<std::string> fold_key(tasks.size());
+  std::map<std::tuple<npb::Kernel, npb::Klass, PageKind>,
+           std::vector<std::size_t>>
+      by_layout;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!tasks[i].trace_backed) continue;
+    fold_key[i] = cache_key(tasks[i]);
+    if (paging::folds_by_layout(tasks[i].paging) &&
+        !cache_.contains(fold_key[i])) {
+      by_layout[{tasks[i].kernel, tasks[i].klass, tasks[i].page_kind}]
+          .push_back(i);
+    }
+  }
+  for (const auto& layout : by_layout) {
+    pool_.submit([&tasks, &fold_key, &layout] {
+      const auto& [kernel, klass, page_kind] = layout.first;
+      const trace::ReplaySubstrate substrate(kernel, klass, page_kind);
+      for (const std::size_t i : layout.second) {
+        RunTask canon = tasks[i];
+        canon.paging =
+            paging::canonical_policy(canon.paging, substrate.space());
+        fold_key[i] = cache_key(canon);
+      }
+    });
+  }
+  pool_.wait_idle();
+
+  // Only the first point per fold key runs; every later one is a copy.
+  constexpr std::size_t kCopy = static_cast<std::size_t>(-1);
+  std::unordered_map<std::string, std::size_t> source_of;
+  std::unordered_map<std::string, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> group_index(tasks.size(), kCopy);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!tasks[i].trace_backed) continue;
+    const auto [src, unique] = source_of.try_emplace(fold_key[i], i);
+    if (!unique) {
+      admission.copies.emplace_back(i, src->second);
+      continue;
+    }
+    const auto [it, fresh] =
+        group_of.try_emplace(task_stream_key(tasks[i]), groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+    group_index[i] = it->second;
+  }
+
+  // Jobs in task order, as live submits them: the unique points of a
+  // stream group form one fused job, placed at its first point, when at
+  // least kFuseWidth of them remain; every other point is a job of its own.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!tasks[i].trace_backed) {
+      admission.jobs.push_back({i});
+      continue;
+    }
+    if (group_index[i] == kCopy) continue;
+    const std::vector<std::size_t>& group = groups[group_index[i]];
+    if (group.size() < kFuseWidth) {
+      admission.jobs.push_back({i});
+    } else if (group.front() == i) {
+      admission.jobs.push_back(group);
+    }
+  }
+  return admission;
 }
 
 void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
@@ -356,31 +458,9 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
   // (LaneSet holds it const).
   const trace::ReplaySubstrate substrate(lead_task.kernel, lead_task.klass,
                                          lead_task.page_kind);
-
-  // Fold (DESIGN.md §8): a point whose content key under its canonical
-  // paging policy matches an earlier point's computes the same counters by
-  // proof (paging::canonical_policy over the group's substrate), so only
-  // the first point per fold key becomes the leader or a lane; the rest
-  // copy its outcome once the group has run.
-  std::vector<std::size_t> runs;
-  std::vector<std::pair<std::size_t, std::size_t>> folded;  // (point, source)
-  {
-    std::unordered_map<std::string, std::size_t> first;
-    for (const std::size_t i : todo) {
-      RunTask canon = tasks[i];
-      canon.paging = paging::canonical_policy(canon.paging, substrate.space());
-      const auto [it, fresh] = first.try_emplace(cache_key(canon), i);
-      if (fresh) {
-        runs.push_back(i);
-      } else {
-        folded.emplace_back(i, it->second);
-      }
-    }
-  }
-
   trace::LaneSet lanes(substrate, lead_task.threads);
-  for (std::size_t j = 1; j < runs.size(); ++j) {
-    const std::size_t i = runs[j];
+  for (std::size_t j = 1; j < todo.size(); ++j) {
+    const std::size_t i = todo[j];
     try {
       lanes.add_lane(replay_config(tasks[i]));
       lane_idx.push_back(i);
@@ -396,13 +476,12 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
     return execute_task(lead_task,
                         lane_idx.empty() ? sim::SinkHooks{} : fanout.hooks());
   });
-  const bool lead_ok = lead_record.ok;
   lead_record.cache_hit = false;
   lead_record.wall_ms = ms_since(t0);
   if (lead_record.ok) commit(cache_key(lead_task), lead_record);
   records[lead] = lead_record;
 
-  if (lead_ok && !lane_idx.empty()) {
+  if (lead_record.ok && !lane_idx.empty()) {
     const auto t1 = std::chrono::steady_clock::now();
     const std::string label = npb::kernel_name(lead_task.kernel) +
                               std::string(".") +
@@ -418,33 +497,10 @@ void Scheduler::run_fused_group(const std::vector<std::size_t>& group,
     }
     fused.groups.fetch_add(1);
     fused.lanes.fetch_add(lane_idx.size());
-  } else if (!lead_ok) {
+  } else if (!lead_record.ok) {
     // The lanes saw a partial stream; discard them and isolate the failure
     // to the leader — every follower gets its own untainted run.
     solos.insert(solos.end(), lane_idx.begin(), lane_idx.end());
-  }
-
-  // A folded point shares its source's fate: it copies the outcome of a
-  // leader or lane that completed, and runs solo wherever its source did
-  // (a failed leader, a platform the lane did not fit).
-  for (const auto& [i, source] : folded) {
-    if (!lead_ok ||
-        std::find(solos.begin(), solos.end(), source) != solos.end()) {
-      solos.push_back(i);
-      continue;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    // Equal fold keys leave only the policy to tell the two points apart,
-    // so the copy restamps just the policy's echo and the content key.
-    const RunRecord own = base_record(tasks[i]);
-    RunRecord record = records[source];
-    record.paging = own.paging;
-    record.key_digest = own.key_digest;
-    record.trace_source = "fold";
-    record.wall_ms = ms_since(t1);
-    commit(cache_key(tasks[i]), record);
-    records[i] = std::move(record);
-    fused.folds.fetch_add(1);
   }
   for (const std::size_t i : solos) run_solo(i);
 }

@@ -21,9 +21,12 @@
 //     sweep yields a JSON summary (config echo, simulated cycles, walk
 //     counts per PageKind, wall time, cache/store provenance).
 //
-// How tasks execute is a single Strategy axis (strategy.hpp) — live or
-// multilane (fused live-leader lanes with the policy fold), auto picking
-// multilane — identical results either way.
+// How tasks execute is a single Strategy axis (strategy.hpp), identical
+// results either way: `live` runs every task on its own and is the
+// reference; `auto`, the default, admits a sweep in one step — it folds
+// points whose paging policy is provably equivalent onto one run, fuses a
+// stream group only when at least kFuseWidth unique points remain, and runs
+// every other point exactly as live does.
 //
 // This core is deliberately front-end-free: no CLI parsing, no stdout, no
 // benchmark assumptions. The benches construct it directly
@@ -42,6 +45,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/disk_store.hpp"
@@ -65,13 +69,13 @@ struct SweepResult {
   DiskResultStore::Stats store;    ///< disk-store activity of THIS sweep only
   Strategy strategy = Strategy::Auto;  ///< as resolved for this sweep
 
-  // Multi-lane execution provenance (host-side; results are identical with
-  // or without fusion).
+  // Admission provenance (host-side; results are identical with or without
+  // folding and fusion).
   std::size_t fused_groups = 0;     ///< stream groups served multi-lane
   std::size_t fused_lanes = 0;      ///< follower grid points covered as lanes
-  /// Grid points of a fused group whose paging policy is provably
-  /// equivalent to an earlier point's (paging::canonical_policy): they copy
-  /// that point's outcome instead of running as lanes (trace_source "fold").
+  /// Grid points whose paging policy is provably equivalent to an earlier
+  /// point's (paging::canonical_policy): they copy that point's outcome
+  /// instead of running (trace_source "fold").
   std::size_t folded_lanes = 0;
   /// Always 0: the Scheduler no longer replays stored traces. Kept because
   /// perfbench reports it as exec.fallbacks.
@@ -111,8 +115,8 @@ class Scheduler {
     /// schedule stores traces, so the store stays empty.
     std::size_t trace_store_bytes = MiB(512);
     /// How trace-backed tasks execute (strategy.hpp). Results are
-    /// bit-identical under every choice; Auto currently resolves to
-    /// Multilane. Individual run() calls may override.
+    /// bit-identical under every choice. Individual run() calls may
+    /// override.
     Strategy strategy = Strategy::Auto;
     /// Root directory of the disk-persistent result store; empty → no
     /// disk tier (in-memory LRU only, the historical behaviour).
@@ -123,6 +127,14 @@ class Scheduler {
   /// substitute runners to inject failures or count executions. May throw:
   /// the scheduler converts exceptions into ok=false records.
   using TaskRunner = std::function<RunRecord(const RunTask&)>;
+
+  /// The width rule of auto's admission: a stream group still holding at
+  /// least this many unique (unfolded) points runs as one fused job — a
+  /// live leader plus lanes. A narrower group's points run on their own:
+  /// fusing two points halves the job count and doubles the longest job,
+  /// which costs more wall than the lane saves (EXPERIMENTS.md "One
+  /// default schedule"). A constant, not an option.
+  static constexpr std::size_t kFuseWidth = 3;
 
   Scheduler() : Scheduler(Config{}) {}
   explicit Scheduler(Config config);
@@ -169,8 +181,23 @@ class Scheduler {
   struct FusedStats {
     std::atomic<std::size_t> groups{0};
     std::atomic<std::size_t> lanes{0};
-    std::atomic<std::size_t> folds{0};
   };
+
+  /// What admission makes of a task list: the jobs to submit, each a single
+  /// task or a fused stream group, and the folded points, each paired with
+  /// the earlier point whose outcome it copies.
+  struct Admission {
+    std::vector<std::vector<std::size_t>> jobs;
+    /// (point, source)
+    std::vector<std::pair<std::size_t, std::size_t>> copies;
+  };
+
+  /// Auto's admission step (DESIGN.md §8): folds every trace-backed point
+  /// that the LRU does not already hold by its fold key (cache_key under
+  /// paging::canonical_policy, over a transient substrate built once per
+  /// layout that needs one), then applies the width rule to the unique
+  /// points. With `fold` false every task is a job of its own (live).
+  Admission admit(const std::vector<RunTask>& tasks, bool fold);
 
   /// Layered probe: in-memory LRU first, then the disk store (a disk hit
   /// promotes into the LRU). Stamps cache_hit/store_hit provenance; the
@@ -181,12 +208,11 @@ class Scheduler {
 
   RunRecord run_one(const RunTask& task);
 
-  /// Executes one address-stream group as a single fused job: cached points
-  /// are served first; the first uncached point runs live with a LaneFanout
-  /// feeding the others as lanes, and a point whose paging policy folds
-  /// onto the leader's or a lane's copies that outcome. Any point the group
-  /// cannot serve (lane rejected, leader failed) falls back to a solo live
-  /// run — failure isolation is per grid point, exactly as unfused.
+  /// Executes the unique points of one address-stream group as a single
+  /// fused job: cached points are served first; the first uncached point
+  /// runs live with a LaneFanout feeding the others as lanes. Any point the
+  /// group cannot serve (lane rejected, leader failed) falls back to a solo
+  /// live run — failure isolation is per grid point, exactly as unfused.
   void run_fused_group(const std::vector<std::size_t>& group,
                        const std::vector<RunTask>& tasks,
                        std::vector<RunRecord>& records, FusedStats& fused);

@@ -1,17 +1,18 @@
 // Execution strategies for the scheduler core.
 //
 // Every strategy produces bit-identical deterministic results — the choice
-// only moves wall-clock between running kernels and tracking their event
-// streams as lanes. One axis threaded uniformly through the library, the
-// sweep daemon and every CLI:
+// only moves wall-clock between running kernels, copying provably equal
+// points and tracking event streams as lanes. One axis threaded uniformly
+// through the library, the sweep daemon and every CLI:
 //
-//   live      every task runs the full kernel on its own
-//   multilane fuse a stream group into one job: the leader runs live while
-//             every follower tracks the event stream as a lane, and points
-//             whose paging policy is provably equivalent fold onto one
-//   auto      let the scheduler pick (currently: multilane — on the
-//             class-S paging grid its folds cut cold wall and peak RSS;
-//             EXPERIMENTS.md has the matrix)
+//   live  the reference: every task runs the full kernel on its own; no
+//         fold, no fusion
+//   auto  the default, one schedule that decides from the grid itself:
+//         admission folds points whose paging policy is provably
+//         equivalent onto one run (paging::canonical_policy), a stream
+//         group still holding at least Scheduler::kFuseWidth unique points
+//         runs as one fused job (a live leader plus lanes), and every other
+//         point runs on its own exactly as under live (DESIGN.md §8)
 //
 // The trace library's record/replay and compiled-plan tiers are diagnostics
 // (sweep_all --replay-check, trace_tools), not scheduler strategies.
@@ -22,34 +23,26 @@
 
 namespace lpomp::exec {
 
-enum class Strategy { Live, Multilane, Auto };
+enum class Strategy { Live, Auto };
 
 /// The valid spellings, as printed by every parser that rejects a name.
-inline constexpr const char* kStrategyNames = "live, multilane, auto";
+inline constexpr const char* kStrategyNames = "live, auto";
 
 constexpr const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Live: return "live";
-    case Strategy::Multilane: return "multilane";
-    case Strategy::Auto: return "auto";
-  }
-  return "auto";
+  return s == Strategy::Live ? "live" : "auto";
 }
 
-/// Parses the CLI spelling ("live", "multilane", "auto"); nullopt for
-/// anything else — callers print their own usage naming kStrategyNames.
-/// Kept as the one parser perfbench and the wire format share.
+/// Parses the CLI spelling ("live", "auto"); nullopt for anything else —
+/// callers print their own usage naming kStrategyNames. Kept as the one
+/// parser perfbench and the wire format share.
 inline std::optional<Strategy> strategy_from_name(std::string_view name) {
   if (name == "live") return Strategy::Live;
-  if (name == "multilane") return Strategy::Multilane;
   if (name == "auto") return Strategy::Auto;
   return std::nullopt;
 }
 
-/// Auto resolves to the scheduler's current best identity-preserving
-/// schedule. Kept in one place so "what does auto mean" has one answer.
-constexpr Strategy resolve_strategy(Strategy s) {
-  return s == Strategy::Auto ? Strategy::Multilane : s;
-}
+/// Every strategy is its own schedule now; kept because perfbench resolves
+/// its --strategy= through it.
+constexpr Strategy resolve_strategy(Strategy s) { return s; }
 
 }  // namespace lpomp::exec

@@ -52,8 +52,9 @@ struct RunTask {
   paging::PolicySpec paging{};
 
   /// May share its address stream with the other tasks of its stream group
-  /// (same kernel/class/threads/page kind — see src/trace): under the
-  /// multilane strategy the group runs as one live leader plus lanes. Lane
+  /// (same kernel/class/threads/page kind — see src/trace): under the auto
+  /// strategy the point may fold onto a provably equivalent one, and a wide
+  /// enough group runs as one live leader plus lanes. Folded and lane
   /// results are bit-identical to live runs, so this is an execution
   /// strategy, not part of the result's identity (it is deliberately NOT in
   /// the cache key). Kept as the per-task opt-in perfbench and the benches

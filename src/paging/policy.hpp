@@ -169,4 +169,12 @@ class PagingModel {
 PolicySpec canonical_policy(const PolicySpec& spec,
                             const mem::AddressSpace& space);
 
+/// Whether canonical_policy(spec, space) reads `space`: only base4k and thp
+/// fold by layout. Any other policy is its own canonical form up to its
+/// ThpParams, which its content key ignores, so no address space need be
+/// built to fold it.
+inline bool folds_by_layout(const PolicySpec& spec) {
+  return spec.policy == Policy::base4k || spec.policy == Policy::thp;
+}
+
 }  // namespace lpomp::paging

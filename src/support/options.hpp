@@ -13,6 +13,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace lpomp {
@@ -32,13 +34,16 @@ class Options {
       positional_.push_back(arg);
       return;
     }
-    const std::string body = arg.substr(2);
-    const auto eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "1";
-    } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
-    }
+    // Key and value are constructed from a view and moved into the map:
+    // GCC 12 reports a false -Wrestrict overlap when a mapped string is
+    // assigned in place (a substr pair, or the literal "1").
+    const std::string_view body = std::string_view(arg).substr(2);
+    const std::size_t eq = body.find('=');
+    std::string value = eq == std::string_view::npos
+                            ? std::string("1")
+                            : std::string(body.substr(eq + 1));
+    values_.insert_or_assign(std::string(body.substr(0, eq)),
+                             std::move(value));
   }
 
   /// Lookup order: command line, then LPOMP_<KEY> env (key uppercased,
@@ -89,7 +94,6 @@ class Options {
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
 
   /// Exits 2 naming the first command-line flag outside `accepted`, so a
   /// misspelt or retired flag (`--kernel=CG` for `--kernels=`) fails loudly

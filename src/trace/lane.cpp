@@ -15,7 +15,9 @@ ReplaySubstrate::ReplaySubstrate(npb::Kernel kernel, npb::Klass klass,
   // Mirror core::Runtime's construction sequence (PhysMem → AddressSpace →
   // hugetlbfs mount + image file → pool mapping) with the same automatic
   // sizing, so frame assignment and page-table layout match the recording
-  // run's exactly.
+  // run's exactly. Only the mapping is mirrored: lanes never read kernel
+  // data, so the pool has no host buffer behind it (a SharedAllocator
+  // would zero one the size of the pool).
   core::RuntimeConfig cfg;
   cfg.page_kind = page_kind;
   cfg.shared_pool_bytes = npb::pool_bytes_for(kernel, klass);
@@ -29,14 +31,15 @@ ReplaySubstrate::ReplaySubstrate(npb::Kernel kernel, npb::Klass klass,
     hugetlbfs_->create_file("lpomp_shared_image", cfg.shared_pool_bytes);
     source = hugetlbfs_.get();
   }
-  alloc_ = std::make_unique<core::SharedAllocator>(
-      *space_, source, page_kind, cfg.shared_pool_bytes, "shared_image");
+  pool_base_ = space_->map_region(cfg.shared_pool_bytes, page_kind,
+                                  "shared_image", source)
+                   .base;
 }
 
 ReplaySubstrate::~ReplaySubstrate() {
   // Same teardown order as core::Runtime: pool pages back to their source,
   // then the image file, then the mount.
-  alloc_.reset();
+  space_->unmap_region(pool_base_);
   if (hugetlbfs_) hugetlbfs_->unlink_file("lpomp_shared_image");
   hugetlbfs_.reset();
   space_.reset();

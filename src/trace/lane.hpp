@@ -89,7 +89,7 @@ class ReplaySubstrate {
   std::unique_ptr<mem::PhysMem> phys_;
   std::unique_ptr<mem::AddressSpace> space_;
   std::unique_ptr<mem::HugeTlbFs> hugetlbfs_;
-  std::unique_ptr<core::SharedAllocator> alloc_;
+  vaddr_t pool_base_ = 0;  ///< the shared pool's mapping
 };
 
 /// N independent simulator states over one ReplaySubstrate, addressed as

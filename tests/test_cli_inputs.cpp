@@ -5,7 +5,11 @@
 // retired one).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -53,45 +57,68 @@ TEST_F(StrictInputs, UnknownKernelExitsTwoWithValidSet) {
               "unknown kernel 'cg' in --kernels=CG,cg \\(valid: ");
 }
 
-// The retired strategies and their old flag spellings fail loudly instead of
-// running the default strategy.
+// The retired strategies fail loudly instead of running the default.
 TEST_F(StrictInputs, RetiredStrategySpellingsExitTwo) {
   EXPECT_EQ(bench::strategy_from(options({"--strategy=live"})),
             exec::Strategy::Live);
   EXPECT_EQ(bench::strategy_from(options({})), exec::Strategy::Auto);
-  for (const char* retired : {"--strategy=recorded", "--strategy=analytic"}) {
+  for (const char* retired :
+       {"--strategy=recorded", "--strategy=analytic", "--strategy=multilane"}) {
     EXPECT_EXIT(bench::strategy_from(options({retired})),
-                ::testing::ExitedWithCode(2),
-                "valid: live, multilane, auto")
-        << retired;
-  }
-  for (const char* retired : {"--no-trace", "--no-multilane", "--no-analytic"}) {
-    EXPECT_EXIT(bench::strategy_from(options({retired})),
-                ::testing::ExitedWithCode(2),
-                "is retired; use --strategy= \\(live, multilane, auto\\)")
+                ::testing::ExitedWithCode(2), "valid: live, auto\\)")
         << retired;
   }
 }
 
+/// Runs `command` through the shell; returns its exit status and output.
+std::pair<int, std::string> run_command(const std::string& command) {
+  std::string output;
+  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return {-1, output};
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
 // A flag the binary does not read exits 2 naming it, instead of running the
 // default: a misspelt --kernel= would run all eight kernels, --help a
-// minutes-long class-R sweep.
+// minutes-long class-R sweep, and the retired --no-trace the default
+// strategy. Every bench and example main parses through parse_flags, so
+// each binary is run with a misspelt flag too.
 TEST_F(StrictInputs, UnknownFlagExitsTwo) {
   const std::vector<std::string> own = {"klass", "kernels"};
-  bench::require_known_flags(
-      options({"--klass=S", "--kernels=CG", "--workers=2", "--strategy=live",
-               "--store-dir=x"}),
-      own);
-  for (const std::string flag : {"--kernel=CG", "--topology=2x2", "--help"}) {
+  const int argc = 3;
+  char* ok_argv[] = {const_cast<char*>("bin"), const_cast<char*>("--klass=S"),
+                     const_cast<char*>("--kernels=CG"), nullptr};
+  EXPECT_EQ(bench::parse_flags(argc, ok_argv, own).get("kernels", ""), "CG");
+  for (const std::string flag :
+       {"--kernel=CG", "--topology=2x2", "--help", "--no-trace"}) {
+    char* argv[] = {const_cast<char*>("bin"), const_cast<char*>("--klass=S"),
+                    const_cast<char*>(flag.c_str()), nullptr};
     const std::string name = flag.substr(0, flag.find('='));
-    EXPECT_EXIT(bench::require_known_flags(
-                    options({"--klass=S", flag.c_str()}), own),
+    EXPECT_EXIT(bench::parse_flags(argc, argv, own),
                 ::testing::ExitedWithCode(2),
-                "unknown flag " + name +
-                    " \\(accepted: --klass, --kernels, --workers, "
-                    "--strategy, --store-dir\\)")
+                "unknown flag " + name + " \\(accepted: --klass, --kernels\\)")
         << flag;
   }
+
+#ifdef LPOMP_CLI_BINARIES
+  const std::string binaries = LPOMP_CLI_BINARIES;
+  std::size_t checked = 0;
+  for (std::size_t start = 0; start < binaries.size();) {
+    std::size_t comma = binaries.find(',', start);
+    if (comma == std::string::npos) comma = binaries.size();
+    const std::string binary = binaries.substr(start, comma - start);
+    start = comma + 1;
+    const auto [code, output] = run_command("'" + binary + "' --klas=S");
+    EXPECT_EQ(code, 2) << binary << ": " << output;
+    EXPECT_NE(output.find("unknown flag --klas"), std::string::npos)
+        << binary << ": " << output;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+#endif
 }
 
 TEST_F(StrictInputs, NonNumericWorkersExitsTwo) {

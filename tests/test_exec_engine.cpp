@@ -119,15 +119,21 @@ TEST(ExperimentEngine, OneWorkerAndManyWorkersAgreeExactly) {
             b.to_json(/*include_host=*/false));
 }
 
-/// The fused-path grid: two kernels × both platforms × {1,2,4} threads ×
-/// both page kinds at class S. Both platforms matter: a stream group is
-/// keyed by (kernel, threads, page kind), so the two platforms of each key
-/// form a 2-point group that fuses into a leader plus a lane.
+/// The admission grid: two kernels × both platforms × {1,2,4} threads ×
+/// both page kinds × {native, base4k} at class S, trace-backed. A stream
+/// group is keyed by (kernel, threads, page kind), so each holds 4 points.
+/// Over the 4 KB layout base4k folds onto native, leaving 2 unique points —
+/// a narrow group whose points run on their own; over the 2 MB layout all 4
+/// are unique — a wide group that fuses into a leader plus lanes.
 SweepSpec fused_sweep() {
   SweepSpec spec = small_sweep();
   spec.platforms = {sim::ProcessorSpec::opteron270(),
                     sim::ProcessorSpec::xeon_ht()};
   spec.threads = {1, 2, 4};
+  paging::PolicySpec base4k;
+  base4k.policy = paging::Policy::base4k;
+  spec.paging_policies = {paging::PolicySpec{}, base4k};
+  spec.trace_backed = true;
   return spec;
 }
 
@@ -144,15 +150,19 @@ void expect_identical(const SweepResult& a, const SweepResult& b,
   EXPECT_EQ(a.to_json(false), b.to_json(false)) << label;
 }
 
-// Worker count changes scheduling only: under both strategies (fused groups
-// stolen across workers, lanes, folds) every worker count reproduces the
-// single-worker records.
+// Worker count changes scheduling only: under both strategies (folded
+// copies, narrow groups run point by point, wide groups fused and stolen
+// across workers) every worker count reproduces the single-worker records.
 TEST(WorkerIdentity, WorkerCountsMatchSingleWorkerUnderEveryStrategy) {
   const SweepSpec spec = fused_sweep();
-  for (const Strategy strategy : {Strategy::Live, Strategy::Multilane}) {
+  for (const Strategy strategy : {Strategy::Live, Strategy::Auto}) {
     Scheduler baseline({.workers = 1, .strategy = strategy});
     const SweepResult want = baseline.run(spec);
     EXPECT_EQ(want.failed(), 0u);
+    if (strategy == Strategy::Auto) {
+      EXPECT_EQ(want.fused_groups, 6u);   // the 2 MB groups
+      EXPECT_EQ(want.folded_lanes, 12u);  // base4k over the 4 KB layout
+    }
     for (const unsigned workers : {2u, 3u, 4u}) {
       Scheduler engine({.workers = workers, .strategy = strategy});
       EXPECT_EQ(engine.workers(), workers);
@@ -163,8 +173,9 @@ TEST(WorkerIdentity, WorkerCountsMatchSingleWorkerUnderEveryStrategy) {
   }
 }
 
-// Paging-policy overlays ride the same fused path (thp points fold onto or
-// run beside native ones); the CG native+thp grid must match at 4 workers.
+// Paging-policy overlays ride the same admission (thp points fold onto
+// hugetlb2m's outcome or run as lanes beside native ones); the CG
+// native+thp grid must match at 4 workers.
 TEST(WorkerIdentity, PagingPolicySweepMatchesSingleWorker) {
   SweepSpec spec = fused_sweep();
   spec.kernels = {npb::Kernel::CG};

@@ -341,8 +341,7 @@ TEST(PagingStrategyIdentity, OneGridPointPerPolicyAllStrategiesAgree) {
                           make_policy(paging::Policy::thp)};
 
   std::string reference;
-  for (const exec::Strategy s :
-       {exec::Strategy::Live, exec::Strategy::Multilane}) {
+  for (const exec::Strategy s : {exec::Strategy::Live, exec::Strategy::Auto}) {
     exec::Scheduler::Config cfg;
     cfg.workers = 2;
     exec::Scheduler sched(cfg);
@@ -448,28 +447,36 @@ TEST(CanonicalPolicy, UnpromotingThpParamsKeepThpDistinct) {
   EXPECT_EQ(paging::canonical_policy(thp, sub.space()), thp);
 }
 
-TEST(DefaultStrategy, AutoResolvesToMultilane) {
-  static_assert(exec::resolve_strategy(exec::Strategy::Auto) ==
-                exec::Strategy::Multilane);
-  exec::Scheduler::Config cfg;
-  cfg.workers = 1;
-  EXPECT_EQ(exec::Scheduler(cfg).run(std::vector<exec::RunTask>{}).strategy,
-            exec::Strategy::Multilane);
-}
-
-// The benchmark's paging grid (sweep_all --klass=S --paging=all five) under
-// the default strategy: every record byte-identical to a one-worker live
-// run, with the fold serving 4 of each 10-point group — base4k over the
-// 4 KB layout folds onto native, thp (every class-S chunk promoted) onto
-// hugetlb2m — 112 of the 280 points.
-TEST(PagingFold, DefaultStrategyPagingGridMatchesLiveWith112Folds) {
+/// The five-policy class-S paging grid (sweep_all --klass=S --paging=all
+/// five), optionally cut to some kernels.
+exec::SweepSpec paging_grid(std::vector<npb::Kernel> kernels) {
   exec::SweepSpec spec = exec::SweepSpec::figure4(npb::Klass::S);
+  spec.kernels = std::move(kernels);
   spec.page_kinds = {PageKind::small4k};
   spec.paging_policies = {make_policy(paging::Policy::native),
                           make_policy(paging::Policy::base4k),
                           make_policy(paging::Policy::hugetlb2m),
                           make_policy(paging::Policy::huge1g),
                           make_policy(paging::Policy::thp)};
+  return spec;
+}
+
+std::size_t fold_records(const exec::SweepResult& result) {
+  std::size_t folds = 0;
+  for (const exec::RunRecord& r : result.records) {
+    folds += r.trace_source == "fold" ? 1 : 0;
+  }
+  return folds;
+}
+
+// The benchmark's paging grid under the default strategy: every record
+// byte-identical to a one-worker live run, with the fold serving 4 of each
+// 10-point group — base4k over the 4 KB layout folds onto native, thp (every
+// class-S chunk promoted) onto hugetlb2m — 112 of the 280 points. The
+// groups left with 6 (1–4 threads) or 3 (the Xeon's 8) unique points are
+// wide enough to fuse.
+TEST(PagingFold, DefaultStrategyPagingGridMatchesLiveWith112Folds) {
+  const exec::SweepSpec spec = paging_grid(npb::all_kernels());
 
   exec::Scheduler::Config live_cfg;
   live_cfg.workers = 1;
@@ -480,24 +487,91 @@ TEST(PagingFold, DefaultStrategyPagingGridMatchesLiveWith112Folds) {
   cfg.workers = 2;
   const exec::SweepResult fused = exec::Scheduler(cfg).run(spec);
   ASSERT_EQ(fused.records.size(), 280u);
-  EXPECT_EQ(fused.strategy, exec::Strategy::Multilane);
+  EXPECT_EQ(fused.strategy, exec::Strategy::Auto);
   EXPECT_EQ(fused.failed(), 0u);
   EXPECT_EQ(fused.to_json(false), live.to_json(false));
 
-  std::size_t folds = 0;
   for (const exec::RunRecord& r : fused.records) {
     if (r.trace_source != "fold") continue;
-    ++folds;
     EXPECT_TRUE(r.paging == "base4k" || r.paging == "thp") << r.paging;
   }
-  EXPECT_EQ(folds, 112u);
+  EXPECT_EQ(fold_records(fused), 112u);
   EXPECT_EQ(fused.folded_lanes, 112u);
+  EXPECT_GT(fused.fused_groups, 0u);
 }
 
-// Folded points follow their source: a point folded onto a lane that does
-// not fit its platform, or onto a failed leader, runs solo exactly like that
-// lane would — failure stays isolated per grid point and every surviving
-// record still equals its live counterpart.
+// The reference strategy neither folds nor fuses: every point of the paging
+// grid runs on its own, so diffs against it keep checking the fold.
+TEST(LiveStrategy, NeverFolds) {
+  exec::SweepSpec spec = paging_grid({npb::Kernel::CG});
+  spec.trace_backed = true;
+  exec::Scheduler::Config cfg;
+  cfg.workers = 2;
+  cfg.strategy = exec::Strategy::Live;
+  const exec::SweepResult live = exec::Scheduler(cfg).run(spec);
+  ASSERT_EQ(live.records.size(), 35u);
+  EXPECT_EQ(fold_records(live), 0u);
+  EXPECT_EQ(live.folded_lanes, 0u);
+  EXPECT_EQ(live.fused_groups, 0u);
+}
+
+// The plain two-platform class-S grid has 2-point stream groups (Opteron +
+// Xeon) and nothing to fold: under the width rule every point runs on its
+// own, exactly as under live.
+TEST(DefaultStrategy, NarrowGroupsRunLive) {
+  exec::SweepSpec spec = exec::SweepSpec::figure4(npb::Klass::S);
+  spec.kernels = {npb::Kernel::CG};
+  spec.trace_backed = true;
+  exec::Scheduler::Config cfg;
+  cfg.workers = 2;
+  const exec::SweepResult result = exec::Scheduler(cfg).run(spec);
+  cfg.strategy = exec::Strategy::Live;
+  const exec::SweepResult live = exec::Scheduler(cfg).run(spec);
+  ASSERT_EQ(result.records.size(), 14u);
+  EXPECT_EQ(result.fused_groups, 0u);
+  EXPECT_EQ(result.fused_lanes, 0u);
+  EXPECT_EQ(result.folded_lanes, 0u);
+  EXPECT_EQ(fold_records(result), 0u);
+  EXPECT_EQ(result.to_json(false), live.to_json(false));
+}
+
+// Folding happens at admission, not inside a fused group: a {native,
+// base4k} pair over a 4 KB layout is one unique point, too narrow to fuse,
+// and base4k still copies native's outcome.
+TEST(DefaultStrategy, FoldsWithoutFusing) {
+  exec::SweepSpec spec;
+  spec.kernels = {npb::Kernel::CG};
+  spec.klass = npb::Klass::S;
+  spec.platforms = {sim::ProcessorSpec::opteron270()};
+  spec.threads = {2};
+  spec.page_kinds = {PageKind::small4k};
+  spec.paging_policies = {make_policy(paging::Policy::native),
+                          make_policy(paging::Policy::base4k)};
+  spec.trace_backed = true;
+  exec::Scheduler::Config cfg;
+  cfg.workers = 1;
+  const exec::SweepResult result = exec::Scheduler(cfg).run(spec);
+  ASSERT_EQ(result.records.size(), 2u);
+  EXPECT_EQ(result.fused_groups, 0u);
+  EXPECT_EQ(result.folded_lanes, 1u);
+  EXPECT_EQ(result.records[0].trace_source, "live");
+  EXPECT_EQ(result.records[1].trace_source, "fold");
+  EXPECT_EQ(result.records[1].paging, "base4k");
+
+  exec::RunTask solo = spec.expand()[1];
+  solo.trace_backed = false;
+  const exec::RunRecord want = exec::Scheduler::execute_task(solo);
+  EXPECT_TRUE(result.records[1].same_result(want));
+  EXPECT_EQ(result.records[1].key_digest, want.key_digest);
+}
+
+// Folded points follow their source: a point folded onto a run that failed
+// (here: 8 threads on the 4-context Opteron) runs on its own and fails with
+// its own diagnostics, while a point whose source completed copies it,
+// whichever order the task list gives them — failure stays isolated per
+// grid point and every surviving record still equals its live counterpart.
+// With a hugetlb2m point per platform the stream group is wide enough to
+// fuse, and the same holds through a rejected lane and a failed leader.
 TEST(PagingFold, FoldedPointsFollowTheirSourceToSolo) {
   const auto task = [](const sim::ProcessorSpec& spec, paging::Policy p) {
     exec::RunTask t;
@@ -510,39 +584,51 @@ TEST(PagingFold, FoldedPointsFollowTheirSourceToSolo) {
   };
   const sim::ProcessorSpec xeon = sim::ProcessorSpec::xeon_ht();
   const sim::ProcessorSpec opteron = sim::ProcessorSpec::opteron270();
-  // Group 1: Xeon leader, its fold, an Opteron lane that cannot fit, that
-  // lane's fold. Group 2 (leader first, so it fails): the same, reversed.
-  const std::vector<std::vector<exec::RunTask>> groups = {
-      {task(xeon, paging::Policy::native), task(xeon, paging::Policy::base4k),
-       task(opteron, paging::Policy::native),
-       task(opteron, paging::Policy::base4k)},
-      {task(opteron, paging::Policy::native),
-       task(opteron, paging::Policy::base4k),
-       task(xeon, paging::Policy::native), task(xeon, paging::Policy::base4k)}};
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    exec::Scheduler::Config cfg;
-    cfg.workers = 2;
-    const exec::SweepResult result = exec::Scheduler(cfg).run(groups[g]);
-    ASSERT_EQ(result.records.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-      const exec::RunRecord& r = result.records[i];
-      // Failed points keep their config echo, a failed leader's included.
-      EXPECT_EQ(r.platform, groups[g][i].spec.name) << g << "/" << i;
-      const bool fits = r.platform == xeon.name;
-      EXPECT_EQ(r.ok, fits) << g << "/" << i;
-      if (!fits) {
-        EXPECT_FALSE(r.error.empty());
-        continue;
+  // Order 0: the Xeon's native run and its fold first, then the Opteron's
+  // (which cannot fit) and that run's fold. Order 1: platforms swapped, so
+  // a fused group's leader is the failing Opteron run.
+  for (const bool wide : {false, true}) {
+    for (std::size_t g = 0; g < 2; ++g) {
+      const sim::ProcessorSpec& first = g == 0 ? xeon : opteron;
+      const sim::ProcessorSpec& second = g == 0 ? opteron : xeon;
+      std::vector<exec::RunTask> tasks = {
+          task(first, paging::Policy::native),
+          task(first, paging::Policy::base4k),
+          task(second, paging::Policy::native),
+          task(second, paging::Policy::base4k)};
+      if (wide) {
+        tasks.push_back(task(first, paging::Policy::hugetlb2m));
+        tasks.push_back(task(second, paging::Policy::hugetlb2m));
       }
-      exec::RunTask solo = groups[g][i];
-      solo.trace_backed = false;
-      EXPECT_TRUE(r.same_result(exec::Scheduler::execute_task(solo)))
-          << g << "/" << i;
+      exec::Scheduler::Config cfg;
+      cfg.workers = 2;
+      const exec::SweepResult result = exec::Scheduler(cfg).run(tasks);
+      const std::string at = (wide ? "wide " : "narrow ") + std::to_string(g);
+      ASSERT_EQ(result.records.size(), tasks.size()) << at;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const exec::RunRecord& r = result.records[i];
+        // Failed points keep their config echo, a failed leader's included.
+        EXPECT_EQ(r.platform, tasks[i].spec.name) << at << "/" << i;
+        const bool fits = r.platform == xeon.name;
+        EXPECT_EQ(r.ok, fits) << at << "/" << i;
+        if (!fits) {
+          EXPECT_FALSE(r.error.empty());
+          continue;
+        }
+        exec::RunTask solo = tasks[i];
+        solo.trace_backed = false;
+        EXPECT_TRUE(r.same_result(exec::Scheduler::execute_task(solo)))
+            << at << "/" << i;
+      }
+      // Only a completed source hands its outcome on: the Xeon's base4k.
+      EXPECT_EQ(result.folded_lanes, 1u) << at;
+      EXPECT_EQ(result.records[1].trace_source, g == 0 ? "fold" : "live")
+          << at;
+      EXPECT_EQ(result.records[3].trace_source, g == 0 ? "live" : "fold")
+          << at;
+      // A fused group counts only once its leader completes.
+      EXPECT_EQ(result.fused_groups, wide && g == 0 ? 1u : 0u) << at;
     }
-    // Only a completed leader hands its outcome on.
-    EXPECT_EQ(result.folded_lanes, g == 0 ? 1u : 0u);
-    EXPECT_EQ(result.records[1].trace_source, g == 0 ? "fold" : "live");
-    EXPECT_EQ(result.records[3].trace_source, "live");
   }
 }
 

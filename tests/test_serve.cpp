@@ -4,6 +4,8 @@
 // service on the same store directory serves the identical grid from disk.
 // The deterministic response section is byte-compared across all three, the
 // comparison the CI smoke job repeats over real processes.
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -153,7 +155,7 @@ TEST(ServeWire, RetiredStrategyIsRejectedNamingTheValidSet) {
   std::string text = serve::encode_request(small_request());
   const std::size_t pos = text.find("strategy=");
   ASSERT_NE(pos, std::string::npos);
-  for (const char* retired : {"recorded", "analytic"}) {
+  for (const char* retired : {"recorded", "analytic", "multilane"}) {
     text.replace(pos, std::string::npos, std::string("strategy=") + retired);
     try {
       serve::decode_request(text);
@@ -164,7 +166,7 @@ TEST(ServeWire, RetiredStrategyIsRejectedNamingTheValidSet) {
       EXPECT_EQ(doc.at("status").as_string(), "error");
       EXPECT_EQ(doc.at("message").as_string(),
                 std::string("unknown strategy '") + retired +
-                    "' (valid: live, multilane, auto)");
+                    "' (valid: live, auto)");
     }
   }
 }
@@ -389,7 +391,10 @@ TEST(ServeService, TwoForkedDaemonsShareOneStore) {
     pids[i] = ::fork();
     ASSERT_GE(pids[i], 0);
     if (pids[i] == 0) {
-      // Child: serve the ring until the parent drops the flag file.
+      // Child: serve the ring until the parent drops the flag file. The
+      // service is destroyed, and its ring unlinked, before _exit — which
+      // runs no destructors.
+      int code = 0;
       try {
         serve::SweepService::Config cfg;
         cfg.shm_name = names[i];
@@ -401,10 +406,10 @@ TEST(ServeService, TwoForkedDaemonsShareOneStore) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
         }
-        ::_exit(0);
       } catch (...) {
-        ::_exit(2);
+        code = 2;
       }
+      ::_exit(code);
     }
   }
 
@@ -439,6 +444,10 @@ TEST(ServeService, TwoForkedDaemonsShareOneStore) {
     ASSERT_EQ(::waitpid(pids[i], &status, 0), pids[i]);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "daemon child " << i << " failed: " << status;
+    // The reaped child left no shared-memory segment behind.
+    const int fd = ::shm_open(names[i].c_str(), O_RDONLY, 0);
+    EXPECT_EQ(fd, -1) << names[i] << " outlived its daemon";
+    if (fd >= 0) ::close(fd);
   }
 
   const exec::JsonValue doc_a = exec::json_parse(a);

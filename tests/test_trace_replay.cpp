@@ -12,6 +12,7 @@
 #include "mem/address_space.hpp"
 #include "mem/phys_mem.hpp"
 #include "npb/npb.hpp"
+#include "paging/policy.hpp"
 #include "prof/profile.hpp"
 #include "sim/thread_sim.hpp"
 #include "trace/codec.hpp"
@@ -163,42 +164,46 @@ TEST(TraceReplay, Figure4GridIdentity) {
   EXPECT_GT(reused, 0u);
 }
 
-// End-to-end through the scheduler: a fused multi-lane sweep (live leader,
-// followers as sink-fed lanes — the default schedule) equals a live sweep
-// record-for-record.
+// End-to-end through the scheduler: a sweep whose stream groups are wide
+// enough to fuse (live leader, followers as sink-fed lanes) equals a live
+// sweep record-for-record. Three paging policies over two platforms give
+// each (kernel, page kind) stream 6 unique points.
 TEST(TraceReplay, EngineSweepMatchesLive) {
   exec::SweepSpec spec = exec::SweepSpec::figure5(npb::Klass::S, 4);
   spec.kernels = {npb::Kernel::CG, npb::Kernel::MG};
   spec.platforms.push_back(sim::ProcessorSpec::xeon_ht());
+  for (const paging::Policy p :
+       {paging::Policy::hugetlb2m, paging::Policy::huge1g}) {
+    paging::PolicySpec policy;
+    policy.policy = p;
+    spec.paging_policies.push_back(policy);
+  }
 
   spec.trace_backed = true;
-  exec::Scheduler::Config lane_cfg;
-  lane_cfg.strategy = exec::Strategy::Multilane;
-  exec::Scheduler fused(lane_cfg);
-  const exec::SweepResult multilane = fused.run(spec);
+  exec::Scheduler fused;
+  const exec::SweepResult admitted = fused.run(spec);
 
   spec.trace_backed = false;
   exec::Scheduler plain;
   const exec::SweepResult live = plain.run(spec);
 
-  ASSERT_EQ(multilane.records.size(), live.records.size());
+  ASSERT_EQ(admitted.records.size(), live.records.size());
   std::size_t lanes_seen = 0;
   for (std::size_t i = 0; i < live.records.size(); ++i) {
-    EXPECT_TRUE(live.records[i].same_result(multilane.records[i]))
+    EXPECT_TRUE(live.records[i].same_result(admitted.records[i]))
         << live.records[i].kernel;
     EXPECT_EQ(live.records[i].trace_source, "live");
-    lanes_seen += multilane.records[i].trace_source == "lane" ? 1 : 0;
+    lanes_seen += admitted.records[i].trace_source == "lane" ? 1 : 0;
   }
-  // The grid has two platforms per stream: the second platform's points
-  // ride as lanes...
-  EXPECT_GT(multilane.fused_groups, 0u);
-  EXPECT_EQ(multilane.fused_lanes, lanes_seen);
+  // Every stream's points after its leader ride as lanes...
+  EXPECT_GT(admitted.fused_groups, 0u);
+  EXPECT_EQ(admitted.fused_lanes, lanes_seen);
   EXPECT_GT(lanes_seen, 0u);
-  EXPECT_EQ(multilane.replay_fallbacks, 0u);
+  EXPECT_EQ(admitted.replay_fallbacks, 0u);
   // ...without touching the codec or the store at all.
   EXPECT_EQ(fused.trace_store().stats().insertions, 0u);
   // Deterministic JSON is identical; trace_source is host-only provenance.
-  EXPECT_EQ(multilane.to_json(false), live.to_json(false));
+  EXPECT_EQ(admitted.to_json(false), live.to_json(false));
 }
 
 // --- corrupt-trace fuzz -----------------------------------------------------
