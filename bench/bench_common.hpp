@@ -22,10 +22,28 @@
 
 namespace lpomp::bench {
 
+/// Parses --platform=; an unknown name exits 2 with the valid set instead
+/// of silently simulating the Opteron.
 inline sim::ProcessorSpec platform_by_name(const std::string& name) {
+  if (name == "opteron") return sim::ProcessorSpec::opteron270();
   if (name == "xeon") return sim::ProcessorSpec::xeon_ht();
   if (name == "modern") return sim::ProcessorSpec::modern();
-  return sim::ProcessorSpec::opteron270();
+  std::cerr << "unknown platform '" << name
+            << "' in --platform= (valid: opteron,xeon,modern)\n";
+  std::exit(2);
+}
+
+/// Parses a data or code page kind given as `flag` (e.g. "--pages="); a
+/// name other than 4KB or 2MB exits 2 with that set instead of silently
+/// meaning 4 KB.
+inline PageKind page_kind_by_name(const std::string& name,
+                                  const std::string& flag) {
+  for (PageKind k : {PageKind::small4k, PageKind::large2m}) {
+    if (name == page_kind_name(k)) return k;
+  }
+  std::cerr << "unknown page size '" << name << "' in " << flag
+            << " (valid: 4KB,2MB)\n";
+  std::exit(2);
 }
 
 /// Parses --paging= as a comma-separated paging-policy list ("native,
@@ -37,9 +55,7 @@ inline sim::ProcessorSpec platform_by_name(const std::string& name) {
 inline std::vector<paging::PolicySpec> paging_from(const Options& opts) {
   const std::string list = opts.get("paging", "native");
   paging::ThpParams thp;
-  // base 0: --thp-seed accepts decimal or 0x-prefixed hex.
-  thp.frag_seed = std::strtoull(
-      opts.get("thp-seed", std::to_string(thp.frag_seed)).c_str(), nullptr, 0);
+  thp.frag_seed = opts.get_uint64("thp-seed", thp.frag_seed);
   thp.frag_base = opts.get_double("thp-frag", thp.frag_base);
   thp.frag_growth = opts.get_double("thp-growth", thp.frag_growth);
   thp.compaction_interval = static_cast<std::uint32_t>(

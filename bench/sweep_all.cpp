@@ -27,8 +27,8 @@
 // Any flag not listed at the top of main() exits 2 naming it.
 //
 // --json-out=BENCH_sweep.json writes the machine-readable perf summary CI
-// trends: cold/warm wall-clock, warm cache-hit rate, lane occupancy, and a
-// per-run wall-time/provenance row for every grid point.
+// trends: cold/warm wall-clock, warm cache-hit rate, fused/folded counts,
+// and a per-run wall-time/provenance row for every grid point.
 //
 // After the cold sweep the same grid is rerun warm to exercise the result
 // cache: the rerun must be served (≥90 %, in practice 100 %) from cache and
@@ -292,50 +292,12 @@ int main(int argc, char** argv) {
   }
 
   // --- BENCH summary (--json-out) -----------------------------------------
-  // Compact perf-trend document: wall-clock, cache-hit rate and lane
-  // occupancy, plus one wall-time/provenance row per grid point. CI uploads
+  // Compact perf-trend document: wall-clock, cache-hit rate and fusion
+  // counts, plus one wall-time/provenance row per grid point. CI uploads
   // it and warns (non-blocking) when wall-clock regresses against the
   // committed reference.
   const std::string bench_path = opts.get("json-out", "");
   if (!bench_path.empty()) {
-    // Lane occupancy over *fusable* stream groups (points ≥ 2). A group of
-    // P points always needs one source run (its leader), so its
-    // lane capacity is P−1; occupancy = offloaded/(P−1). Singleton groups
-    // (e.g. 8T streams only one platform can host) have no capacity at all
-    // — the old definition (fused_lanes/records) let them drag the overall
-    // number to 0.43 when every fusable group was actually full. They are
-    // reported separately (singleton_points) and excluded from the overall.
-    std::vector<std::string> group_order;
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> groups;
-    for (const exec::RunRecord& r : cold.records) {
-      const std::string stream = r.kernel + "." + r.klass + "/" +
-                                 std::to_string(r.threads) + "T/" +
-                                 r.page_kind;
-      auto [it, fresh] = groups.try_emplace(stream, 0, 0);
-      if (fresh) group_order.push_back(stream);
-      ++it->second.first;
-      if (r.trace_source == "lane" || r.trace_source == "fold") {
-        ++it->second.second;
-      }
-    }
-    std::uint64_t fusable_points = 0;
-    std::uint64_t singleton_points = 0;
-    std::uint64_t fusable_capacity = 0;  // Σ (points − 1) over fusable groups
-    std::uint64_t fusable_offloaded = 0;
-    for (const std::string& stream : group_order) {
-      const auto& [points, offloaded] = groups[stream];
-      if (points >= 2) {
-        fusable_points += points;
-        fusable_capacity += points - 1;
-        fusable_offloaded += offloaded;
-      } else {
-        singleton_points += points;
-      }
-    }
-    const double occupancy =
-        fusable_capacity == 0 ? 0.0
-                              : static_cast<double>(fusable_offloaded) /
-                                    static_cast<double>(fusable_capacity);
     // The admission-queue peak is daemon-side state: sweep_all itself runs
     // unqueued, so without --shm= the field reports 0 for schema parity.
     // With --shm=NAME it probes the live daemon's ring via the stats
@@ -355,7 +317,7 @@ int main(int argc, char** argv) {
     }
     exec::JsonWriter b;
     b.begin_object();
-    b.field("schema", "lpomp-bench-sweep-v7");
+    b.field("schema", "lpomp-bench-sweep-v8");
     b.field("klass", std::string(npb::klass_name(klass)));
     b.field("workers", static_cast<std::uint64_t>(cold.workers));
     b.field("strategy", exec::strategy_name(strategy));
@@ -387,29 +349,6 @@ int main(int argc, char** argv) {
     b.field("fused_groups", static_cast<std::uint64_t>(cold.fused_groups));
     b.field("fused_lanes", static_cast<std::uint64_t>(cold.fused_lanes));
     b.field("folded_lanes", static_cast<std::uint64_t>(cold.folded_lanes));
-    b.field("fusable_points", fusable_points);
-    b.field("singleton_points", singleton_points);
-    b.field("lane_occupancy_overall", occupancy);
-    // Per-stream-group occupancy. A group is one address stream: kernel ×
-    // class × threads × page kind; "offloaded" counts its points served
-    // from the stream as lane or fold followers; "fusable"
-    // groups (points ≥ 2) have capacity points−1 (the source run is
-    // structural).
-    b.key("stream_groups");
-    b.begin_array();
-    for (const std::string& stream : group_order) {
-      const auto& [points, offloaded] = groups[stream];
-      b.begin_object();
-      b.field("stream", stream);
-      b.field("points", points);
-      b.field("offloaded", offloaded);
-      b.field("fusable", points >= 2);
-      b.field("occupancy", points < 2 ? 0.0
-                                      : static_cast<double>(offloaded) /
-                                            static_cast<double>(points - 1));
-      b.end_object();
-    }
-    b.end_array();
     b.end_object();
     b.key("runs_detail");
     b.begin_array();

@@ -1,7 +1,6 @@
 // sweep_service — the persistent sweep daemon.
 //
 //   sweep_service [--shm=/lpomp-sweep] [--store-dir=PATH] [--workers=N]
-//                 [--strategy=live|auto]
 //                 [--slots=8] [--slot-mb=1]
 //
 // Creates the shared-memory request ring and serves sweep_client
@@ -10,8 +9,8 @@
 // --store-dir= every completed RunRecord is persisted content-addressed on
 // disk, so a repeated grid point — from any client, before or after a
 // daemon restart — is answered from the store in microseconds instead of
-// being re-simulated. The per-request strategy (from the client) overrides
-// the daemon default given here.
+// being re-simulated. Each request carries its own execution strategy
+// (sweep_client --strategy=).
 // Any other flag exits 2 naming it.
 //
 // On shutdown the daemon prints a one-line stats JSON (requests served,
@@ -36,14 +35,13 @@ void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 int main(int argc, char** argv) {
   const Options opts = bench::parse_flags(
       argc, argv,
-      {"shm", "slots", "slot-mb", "workers", "strategy", "store-dir"});
+      {"shm", "slots", "slot-mb", "workers", "store-dir"});
 
   serve::SweepService::Config cfg;
   cfg.shm_name = opts.get("shm", "/lpomp-sweep");
   cfg.slots = static_cast<std::uint32_t>(opts.get_int("slots", 8));
   cfg.slot_bytes = MiB(static_cast<std::size_t>(opts.get_int("slot-mb", 1)));
   cfg.scheduler.workers = bench::workers_from(opts);
-  cfg.scheduler.strategy = bench::strategy_from(opts);
   cfg.scheduler.store_dir = opts.get("store-dir", "");
 
   try {
@@ -54,8 +52,7 @@ int main(int argc, char** argv) {
     std::cout << "sweep_service: serving on " << service.ring().name() << " ("
               << service.ring().slots() << " slots x "
               << format_bytes(service.ring().slot_bytes()) << "), "
-              << service.scheduler().workers() << " workers, strategy "
-              << exec::strategy_name(cfg.scheduler.strategy);
+              << service.scheduler().workers() << " workers";
     if (const exec::DiskResultStore* store =
             service.scheduler().disk_store()) {
       std::cout << ", store " << store->root() << " (" << store->size()

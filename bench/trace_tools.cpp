@@ -1,37 +1,27 @@
-// Trace workbench: record kernel access traces to files, replay them on any
-// platform/cost configuration, and analyse their locality structure.
+// Trace workbench: record a kernel's access trace in process, then time its
+// replay tiers or analyse its locality structure.
 //
-//   trace_tools record    --kernel=CG --klass=S --threads=4 --pages=2MB
-//                         --out=cg.lptrace [--platform=opteron] [--seed=N]
-//   trace_tools replay    --in=cg.lptrace [--platform=xeon] [--seed=N]
-//                         [--code-pages=4KB] [--check]
-//   trace_tools multilane --in=cg.lptrace [--seed=N] [--check]
-//   trace_tools bench     --in=cg_s.lptrace,cg_w.lptrace [--repeat=10]
-//                         [--json-out=FILE]
-//   trace_tools stats     --in=cg.lptrace
+//   trace_tools bench --kernel=CG --klass=S,W --threads=4 --pages=4KB
+//                     [--repeat=10] [--json-out=FILE]
+//   trace_tools stats --kernel=CG --klass=S --threads=4 --pages=2MB
 //
-// `record` runs the kernel live with the recorder attached and writes the
-// compressed trace. `replay` re-drives the simulator from the file through
-// a compiled TracePlan with the analytic fast-forward tier and prints the
-// profile; with --check it
-// also runs the same config live and verifies every counter matches
-// bit-for-bit. `multilane` replays the file once onto the whole platform ×
-// code-page grid — every grid point is a lane of one MultiReplayDriver
-// pass, so the trace is decoded exactly once; with --check each lane is
-// also compared counter-for-counter against its standalone single-lane
-// replay. `bench` times the interpreted and analytic per-replay paths
-// (minimum of --repeat runs each, plan compiled once) and asserts they
-// agree counter-for-counter — the replay micro-benchmark CI gates on.
-// `stats` decodes the trace and prints stride histograms, hot-page counts
-// and reuse-distance profiles at 4 KB and 2 MB granularity — the
-// quantities that explain which kernels large pages help.
+// Both subcommands also take [--platform=opteron|xeon|modern] [--seed=N]
+// (decimal or 0x hex) [--code-pages=4KB|2MB] (defaults: opteron, 0x5eed,
+// 4KB), which configure the recording run and, for `bench`, every replay.
+// Each recording runs the kernel live with a TraceRecorder attached; a run
+// that fails verification records nothing and exits 2.
+//
+// `bench` times the interpreted and analytic per-replay paths of each
+// class's trace (minimum of --repeat runs each, plan compiled once) and
+// asserts they agree counter-for-counter — the replay micro-benchmark CI
+// gates on. `stats` prints stride histograms, hot-page counts and
+// reuse-distance profiles at 4 KB and 2 MB granularity — the quantities
+// that explain which kernels large pages help.
 #include <algorithm>
 #include <chrono>
 
 #include "bench/bench_common.hpp"
 #include "exec/json.hpp"
-#include "trace/io.hpp"
-#include "trace/lane.hpp"
 #include "trace/plan.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
@@ -41,189 +31,62 @@ using namespace lpomp;
 
 namespace {
 
-PageKind pages_from(const Options& opts, const char* key) {
-  const std::string v = opts.get(key, "4KB");
-  if (v == "2MB" || v == "2mb" || v == "large") return PageKind::large2m;
-  return PageKind::small4k;
-}
+/// The recording run's knobs, shared by every class a subcommand records.
+struct RecordKnobs {
+  npb::Kernel kernel;
+  sim::ProcessorSpec spec;
+  unsigned threads;
+  PageKind pages;
+  PageKind code_pages;
+  std::uint64_t seed;
+};
 
-void print_profile(const prof::ProfileReport& profile, double seconds) {
-  profile.print(std::cout);
-  std::cout << "simulated time: " << format_seconds(seconds) << "s\n";
-}
-
-int cmd_record(const Options& opts) {
-  const std::string out = opts.get("out", "");
-  if (out.empty()) {
-    std::cerr << "record: need --out=<file>\n";
-    return 2;
-  }
-  const npb::Kernel kernel = trace::kernel_from_name(opts.get("kernel", "CG"));
-  const npb::Klass klass = bench::klass_by_name(opts.get("klass", "S"));
+RecordKnobs knobs_from(const Options& opts) {
   const sim::ProcessorSpec spec =
       bench::platform_by_name(opts.get("platform", "opteron"));
-  const unsigned threads = static_cast<unsigned>(opts.get_int("threads", 4));
-  const PageKind pages = pages_from(opts, "pages");
-  const PageKind code_pages = pages_from(opts, "code-pages");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
+  const long threads = opts.get_int("threads", 4);
+  if (threads < 1 || threads > static_cast<long>(spec.max_threads())) {
+    std::cerr << "invalid --threads=" << threads << " (" << spec.name
+              << " runs 1.." << spec.max_threads() << ")\n";
+    std::exit(2);
+  }
+  return {bench::kernel_by_name(opts.get("kernel", "CG")), spec,
+          static_cast<unsigned>(threads),
+          bench::page_kind_by_name(opts.get("pages", "4KB"), "--pages="),
+          bench::page_kind_by_name(opts.get("code-pages", "4KB"),
+                                   "--code-pages="),
+          opts.get_uint64("seed", 0x5eed)};
+}
 
-  trace::TraceRecorder recorder(threads);
+/// Runs the kernel live with a TraceRecorder attached and returns the
+/// trace. A kernel that fails verification exits 2: its stream explains
+/// nothing.
+trace::Trace record(const RecordKnobs& k, npb::Klass klass) {
+  trace::TraceRecorder recorder(k.threads);
   core::RuntimeConfig cfg;
-  cfg.num_threads = threads;
-  cfg.page_kind = pages;
-  cfg.code_page_kind = code_pages;
-  cfg.sim = core::SimConfig{spec, sim::CostModel{}, seed};
+  cfg.num_threads = k.threads;
+  cfg.page_kind = k.pages;
+  cfg.code_page_kind = k.code_pages;
+  cfg.sim = core::SimConfig{k.spec, sim::CostModel{}, k.seed};
   cfg.trace_sink = &recorder;
-  const npb::NpbResult r = npb::run_kernel(kernel, klass, cfg);
+  const npb::NpbResult r = npb::run_kernel(k.kernel, klass, cfg);
   if (!r.verified) {
-    std::cerr << "record: kernel failed verification — not writing a trace\n";
-    return 2;
+    std::cerr << npb::kernel_name(k.kernel) << "." << npb::klass_name(klass)
+              << " failed verification — no trace recorded\n";
+    std::exit(2);
   }
 
   trace::TraceMeta meta;
-  meta.kernel = npb::kernel_name(kernel);
+  meta.kernel = npb::kernel_name(k.kernel);
   meta.klass = npb::klass_name(klass);
-  meta.threads = threads;
-  meta.page_kind = pages;
-  meta.platform = spec.name;
-  meta.code_page_kind = code_pages;
-  meta.seed = seed;
+  meta.threads = k.threads;
+  meta.page_kind = k.pages;
+  meta.platform = k.spec.name;
+  meta.code_page_kind = k.code_pages;
+  meta.seed = k.seed;
   meta.verified = r.verified;
   meta.checksum = r.checksum;
-  const trace::Trace trace = recorder.finish(std::move(meta));
-  trace::save_trace_file(out, trace);
-
-  std::size_t bytes = 0;
-  for (const std::string& s : trace.streams) bytes += s.size();
-  std::cout << "recorded " << trace.key() << ": "
-            << format_count(trace.meta.accesses) << " accesses, "
-            << trace.boundaries.size() << " boundaries, "
-            << format_bytes(bytes) << " encoded ("
-            << format_ratio(8.0 * static_cast<double>(bytes) /
-                            static_cast<double>(trace.meta.accesses))
-            << " bits/access) -> " << out << "\n";
-  print_profile(r.profile, r.simulated_seconds);
-  return 0;
-}
-
-int cmd_replay(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "replay: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
-  trace::ReplayConfig cfg;
-  cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-  cfg.code_page_kind = pages_from(opts, "code-pages");
-
-  std::cout << "replaying " << trace.key() << " (recorded on "
-            << trace.meta.platform << ") on " << cfg.spec.name
-            << " [analytic]\n";
-  const trace::ReplayOutcome out =
-      trace::ReplayDriver(cfg).run(trace, *trace::TracePlan::compile(trace));
-  print_profile(out.profile, out.simulated_seconds);
-
-  if (opts.get_flag("check")) {
-    exec::RunTask task;
-    task.kernel = trace::kernel_from_name(trace.meta.kernel);
-    task.klass = trace::klass_from_name(trace.meta.klass);
-    task.spec = cfg.spec;
-    task.cost = cfg.cost;
-    task.threads = trace.meta.threads;
-    task.page_kind = trace.meta.page_kind;
-    task.code_page_kind = cfg.code_page_kind;
-    task.seed = cfg.seed;
-    const bool same = exec::Scheduler::execute_task(task).same_result(
-        exec::Scheduler::replay_record(task, out));
-    std::cout << "live check: counters "
-              << (same ? "identical" : "DIFFER") << "\n";
-    if (!same) return 1;
-  }
-  return 0;
-}
-
-int cmd_multilane(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "multilane: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-
-  // The full replay-knob grid: both platforms × both code page kinds.
-  // A platform without enough hardware contexts for the recorded thread
-  // count cannot host a lane; it is skipped, not an error.
-  std::vector<trace::ReplayConfig> cfgs;
-  std::vector<std::string> skipped;
-  for (const sim::ProcessorSpec& spec :
-       {sim::ProcessorSpec::opteron270(), sim::ProcessorSpec::xeon_ht()}) {
-    for (const PageKind code : {PageKind::small4k, PageKind::large2m}) {
-      if (trace.meta.threads > spec.total_contexts()) {
-        skipped.push_back(spec.name);
-        continue;
-      }
-      trace::ReplayConfig c;
-      c.spec = spec;
-      c.seed = seed;
-      c.code_page_kind = code;
-      cfgs.push_back(c);
-    }
-  }
-  if (cfgs.empty()) {
-    std::cerr << "multilane: " << trace.meta.threads
-              << " recorded threads fit no platform\n";
-    return 2;
-  }
-
-  std::cout << "multi-lane replay of " << trace.key() << ": " << cfgs.size()
-            << " lanes, one decode pass";
-  if (!skipped.empty()) {
-    std::cout << " (" << skipped.size() / 2 << " platform(s) skipped: too "
-              << "few contexts)";
-  }
-  std::cout << "\n";
-
-  const std::vector<trace::ReplayOutcome> outs =
-      trace::MultiReplayDriver(cfgs).run(trace);
-
-  const bool check = opts.get_flag("check");
-  std::size_t mismatches = 0;
-  std::vector<std::string> headers = {"platform", "code pages", "cycles",
-                                      "simulated s"};
-  if (check) headers.push_back("vs solo replay");
-  TextTable table(headers);
-  for (std::size_t lane = 0; lane < cfgs.size(); ++lane) {
-    const trace::ReplayOutcome& out = outs[lane];
-    std::vector<std::string> row = {
-        cfgs[lane].spec.name,
-        std::string(page_kind_name(cfgs[lane].code_page_kind)),
-        format_count(out.profile.count(prof::ProfileReport::kCycles)),
-        format_seconds(out.simulated_seconds)};
-    if (check) {
-      const trace::ReplayOutcome solo =
-          trace::ReplayDriver(cfgs[lane]).run(trace);
-      bool same = solo.simulated_seconds == out.simulated_seconds &&
-                  solo.profile.events().size() == out.profile.events().size();
-      for (std::size_t i = 0; same && i < solo.profile.events().size(); ++i) {
-        same = solo.profile.events()[i].count == out.profile.events()[i].count;
-      }
-      if (!same) ++mismatches;
-      row.push_back(same ? "identical" : "DIFFER");
-    }
-    table.add_row(row);
-  }
-  table.print();
-  if (mismatches > 0) {
-    std::cerr << "FAIL: " << mismatches
-              << " lane(s) diverged from single-lane replay\n";
-    return 1;
-  }
-  return 0;
+  return recorder.finish(std::move(meta));
 }
 
 /// One trace's bench measurements: min-of-repeat timings for the three
@@ -243,10 +106,8 @@ struct BenchEntry {
   bool identical = false;
 };
 
-BenchEntry bench_one(const std::string& path, const trace::ReplayConfig& cfg,
-                     int repeat) {
-  const trace::Trace trace = trace::load_trace_file(path);
-
+BenchEntry bench_one(const trace::Trace& trace,
+                     const trace::ReplayConfig& cfg, int repeat) {
   using clock = std::chrono::steady_clock;
   auto ms_of = [](clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(clock::now() - t0)
@@ -304,36 +165,33 @@ BenchEntry bench_one(const std::string& path, const trace::ReplayConfig& cfg,
 /// interpreter) vs analytic (compiled plan + closed-form fast-forward),
 /// minimum of --repeat runs each after one warm-up. The two paths must
 /// agree counter-for-counter — a timing from diverging replays would be
-/// meaningless — so the bench doubles as an identity check. --in accepts a
-/// comma-separated trace list so one invocation measures the analytic
-/// advantage across problem classes (it grows with accesses-per-line).
-/// --json-out writes the machine-readable rows CI compares against its
-/// committed reference (the speedup ratio is host-independent, so CI gates
-/// on it).
+/// meaningless — so the bench doubles as an identity check. --klass accepts
+/// a comma-separated class list so one invocation measures the analytic
+/// advantage across problem classes (it grows with accesses-per-line); each
+/// class is recorded just before it is measured. --json-out writes the
+/// machine-readable rows CI compares against its committed reference (the
+/// speedup ratio is host-independent, so CI gates on it).
 int cmd_bench(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "bench: need --in=<file>[,<file>...]\n";
-    return 2;
-  }
-  std::vector<std::string> paths;
+  const RecordKnobs knobs = knobs_from(opts);
+  std::vector<npb::Klass> klasses;
+  const std::string list = opts.get("klass", "S");
   std::size_t start = 0;
-  while (start <= in.size()) {
-    std::size_t comma = in.find(',', start);
-    if (comma == std::string::npos) comma = in.size();
-    if (comma > start) paths.push_back(in.substr(start, comma - start));
+  while (start <= list.size()) {
+    std::size_t comma = list.find(',', start);
+    if (comma == std::string::npos) comma = list.size();
+    klasses.push_back(bench::klass_by_name(list.substr(start, comma - start)));
     start = comma + 1;
   }
   const int repeat = std::max(1, static_cast<int>(opts.get_int("repeat", 10)));
   trace::ReplayConfig cfg;
-  cfg.spec = bench::platform_by_name(opts.get("platform", "opteron"));
-  cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5eed));
-  cfg.code_page_kind = pages_from(opts, "code-pages");
+  cfg.spec = knobs.spec;
+  cfg.seed = knobs.seed;
+  cfg.code_page_kind = knobs.code_pages;
 
   std::vector<BenchEntry> entries;
   bool all_same = true;
-  for (const std::string& path : paths) {
-    const BenchEntry e = bench_one(path, cfg, repeat);
+  for (const npb::Klass klass : klasses) {
+    const BenchEntry e = bench_one(record(knobs, klass), cfg, repeat);
     all_same = all_same && e.identical;
     std::cout << "replay bench " << e.trace_key << " on " << cfg.spec.name
               << " (min of " << repeat << ", " << format_count(e.accesses)
@@ -402,12 +260,8 @@ void print_histogram(const char* title, const std::vector<std::uint64_t>& h,
 }
 
 int cmd_stats(const Options& opts) {
-  const std::string in = opts.get("in", "");
-  if (in.empty()) {
-    std::cerr << "stats: need --in=<file>\n";
-    return 2;
-  }
-  const trace::Trace trace = trace::load_trace_file(in);
+  const trace::Trace trace = record(
+      knobs_from(opts), bench::klass_by_name(opts.get("klass", "S")));
   std::cout << "trace " << trace.key() << " recorded on "
             << trace.meta.platform << " (seed " << trace.meta.seed
             << ", code pages "
@@ -473,28 +327,22 @@ int cmd_stats(const Options& opts) {
 int main(int argc, char** argv) {
   const Options opts = bench::parse_flags(
       argc, argv,
-      {"in", "out", "kernel", "klass", "platform", "threads", "pages",
-       "code-pages", "seed", "check", "repeat", "json-out"});
+      {"kernel", "klass", "platform", "threads", "pages", "code-pages", "seed",
+       "repeat", "json-out"});
   const std::string cmd =
       opts.positional().empty() ? "" : opts.positional().front();
   try {
-    if (cmd == "record") return cmd_record(opts);
-    if (cmd == "replay") return cmd_replay(opts);
-    if (cmd == "multilane") return cmd_multilane(opts);
     if (cmd == "bench") return cmd_bench(opts);
     if (cmd == "stats") return cmd_stats(opts);
   } catch (const trace::TraceError& e) {
     std::cerr << "trace error: " << e.what() << "\n";
     return 2;
   }
-  std::cerr << "usage: trace_tools <record|replay|multilane|bench|stats> "
-               "[options]\n"
-               "  record    --kernel=CG --klass=S --threads=4 --pages=4KB|2MB "
-               "--out=FILE\n"
-               "  replay    --in=FILE [--platform=opteron|xeon] [--check]\n"
-               "  multilane --in=FILE [--seed=N] [--check]\n"
-               "  bench     --in=FILE[,FILE...] [--repeat=10] "
-               "[--json-out=FILE]\n"
-               "  stats     --in=FILE\n";
+  std::cerr << "usage: trace_tools <bench|stats> --kernel=CG --klass=S "
+               "--threads=4 --pages=4KB|2MB\n"
+               "                   [--platform=opteron|xeon|modern] "
+               "[--seed=N] [--code-pages=4KB|2MB]\n"
+               "  bench  --klass=S[,W...] [--repeat=10] [--json-out=FILE]\n"
+               "  stats\n";
   return 2;
 }

@@ -7,7 +7,7 @@
 // transparent huge pages under fragmentation, page-walk caches. This module
 // adds those as a *translation overlay* that is orthogonal to layout: the
 // kernel still issues the same addresses against the same mapped regions
-// (streams stay policy-independent, so one recorded .lptrace replays
+// (streams stay policy-independent, so one recorded trace replays
 // unchanged under every policy), but the simulator reinterprets each
 // (address, layout kind) pair into an effective (vpn, page kind) at
 // TLB-accounting time:

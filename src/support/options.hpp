@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -86,6 +87,28 @@ class Options {
       reject(key, v, "a finite number");
     }
     return x;
+  }
+
+  /// Strict like get_int for an unsigned 64-bit value (a seed): decimal, or
+  /// hex after a 0x prefix. Signs and spaces are rejected, and a leading 0
+  /// is still decimal, not octal.
+  std::uint64_t get_uint64(const std::string& key, std::uint64_t def) const {
+    const std::string v = get(key, std::to_string(def));
+    const bool hex =
+        v.size() > 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X');
+    const std::string digits = hex ? v.substr(2) : v;
+    const bool ok =
+        !digits.empty() &&
+        std::all_of(digits.begin(), digits.end(), [hex](unsigned char c) {
+          return hex ? std::isxdigit(c) != 0 : std::isdigit(c) != 0;
+        });
+    errno = 0;
+    const std::uint64_t n =
+        ok ? std::strtoull(digits.c_str(), nullptr, hex ? 16 : 10) : 0;
+    if (!ok || errno == ERANGE) {
+      reject(key, v, "a decimal or 0x-prefixed hex integer");
+    }
+    return n;
   }
 
   bool get_flag(const std::string& key, bool def = false) const {

@@ -22,8 +22,6 @@
 
 namespace lpomp::trace {
 
-constexpr std::uint32_t kTraceFormatVersion = 1;
-
 /// Description of the run a trace was recorded from. kernel/klass/threads/
 /// page_kind identify the address stream; the rest is provenance from the
 /// recording run (the replayer copies `verified`/`checksum` through, since
@@ -65,7 +63,7 @@ std::string trace_key(std::string_view kernel, std::string_view klass,
                       unsigned threads, PageKind page_kind);
 
 /// Parse kernel/class names as stored in TraceMeta. Throw TraceError on
-/// unknown names (e.g. a trace file from a newer build).
+/// unknown names.
 npb::Kernel kernel_from_name(std::string_view name);
 npb::Klass klass_from_name(std::string_view name);
 

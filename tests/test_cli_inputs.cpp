@@ -2,7 +2,7 @@
 // the process with exit status 2 and names the valid set, instead of
 // silently running something else (class R for an unknown class, the
 // default worker count for a non-numeric one, the default strategy for a
-// retired one).
+// retired one). Also runs trace_tools' two subcommands once, as a smoke test.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -70,6 +70,46 @@ TEST_F(StrictInputs, RetiredStrategySpellingsExitTwo) {
   }
 }
 
+TEST_F(StrictInputs, UnknownPlatformExitsTwoWithValidSet) {
+  EXPECT_EQ(bench::platform_by_name("xeon").name,
+            sim::ProcessorSpec::xeon_ht().name);
+  EXPECT_EQ(bench::platform_by_name("opteron").name,
+            sim::ProcessorSpec::opteron270().name);
+  EXPECT_EXIT(bench::platform_by_name("itanium"), ::testing::ExitedWithCode(2),
+              "unknown platform 'itanium' in --platform= \\(valid: "
+              "opteron,xeon,modern\\)");
+}
+
+TEST_F(StrictInputs, UnknownPageSizeExitsTwoWithValidSet) {
+  EXPECT_EQ(bench::page_kind_by_name("4KB", "--pages="), PageKind::small4k);
+  EXPECT_EQ(bench::page_kind_by_name("2MB", "--pages="), PageKind::large2m);
+  for (const char* bad : {"1GB", "2mb", "large", ""}) {
+    EXPECT_EXIT(bench::page_kind_by_name(bad, "--pages="),
+                ::testing::ExitedWithCode(2),
+                "in --pages= \\(valid: 4KB,2MB\\)")
+        << bad;
+  }
+}
+
+TEST_F(StrictInputs, MalformedThpSeedExitsTwo) {
+  EXPECT_EQ(bench::paging_from(options({"--paging=thp", "--thp-seed=12"}))
+                .front()
+                .thp.frag_seed,
+            12u);
+  EXPECT_EQ(bench::paging_from(options({"--paging=thp", "--thp-seed=0x1F"}))
+                .front()
+                .thp.frag_seed,
+            31u);
+  for (const char* bad : {"--thp-seed=abc", "--thp-seed=12x", "--thp-seed=",
+                          "--thp-seed=-1", "--thp-seed=0x"}) {
+    EXPECT_EXIT(bench::paging_from(options({"--paging=thp", bad})),
+                ::testing::ExitedWithCode(2),
+                "invalid --thp-seed=.* \\(expected a decimal or "
+                "0x-prefixed hex integer\\)")
+        << bad;
+  }
+}
+
 /// Runs `command` through the shell; returns its exit status and output.
 std::pair<int, std::string> run_command(const std::string& command) {
   std::string output;
@@ -80,6 +120,86 @@ std::pair<int, std::string> run_command(const std::string& command) {
   const int status = ::pclose(pipe);
   return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
 }
+
+#ifdef LPOMP_CLI_BINARIES
+/// Every bench and example binary, in build order.
+std::vector<std::string> cli_binaries() {
+  const std::string binaries = LPOMP_CLI_BINARIES;
+  std::vector<std::string> out;
+  for (std::size_t start = 0; start < binaries.size();) {
+    std::size_t comma = binaries.find(',', start);
+    if (comma == std::string::npos) comma = binaries.size();
+    out.push_back(binaries.substr(start, comma - start));
+    start = comma + 1;
+  }
+  return out;
+}
+
+/// The path of the bench binary `name`, quoted for the shell.
+std::string cli_binary(const std::string& name) {
+  for (const std::string& path : cli_binaries()) {
+    if (path.size() > name.size() &&
+        path.compare(path.size() - name.size() - 1, std::string::npos,
+                     "/" + name) == 0) {
+      return "'" + path + "'";
+    }
+  }
+  ADD_FAILURE() << name << " is not among the CLI binaries";
+  return name;
+}
+
+// Each request carries its strategy, so the daemon takes none: the flag is
+// rejected before any ring is created. Under `timeout`, a daemon that still
+// accepted it would be killed (exit 124) instead of hanging the test.
+TEST_F(StrictInputs, DaemonStrategyFlagExitsTwo) {
+  const auto [code, output] =
+      run_command("timeout 10 " + cli_binary("sweep_service") +
+                  " --strategy=live");
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("unknown flag --strategy"), std::string::npos)
+      << output;
+}
+
+// trace_tools records in process and keeps two subcommands; the retired
+// file workflows exit 2 as unknown subcommands.
+TEST_F(StrictInputs, RetiredTraceToolsSubcommandsExitTwo) {
+  for (const char* cmd : {"record", "replay", "multilane", ""}) {
+    const auto [code, output] = run_command(
+        cli_binary("trace_tools") + " " + cmd + " --kernel=CG --klass=S");
+    EXPECT_EQ(code, 2) << cmd << ": " << output;
+    EXPECT_NE(output.find("usage: trace_tools <bench|stats>"),
+              std::string::npos)
+        << cmd << ": " << output;
+  }
+}
+
+TEST(TraceToolsSmoke, StatsAndBenchRecordInProcess) {
+  const std::string tool = cli_binary("trace_tools");
+  const auto [stats_code, stats] = run_command(
+      tool + " stats --kernel=CG --klass=S --threads=2 --pages=2MB");
+  EXPECT_EQ(stats_code, 0) << stats;
+  EXPECT_NE(stats.find("trace CG.S/2T/2MB recorded on"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("reuse-distance histogram (2MB pages):"),
+            std::string::npos)
+      << stats;
+
+  const std::string json = ::testing::TempDir() + "trace_tools_bench.json";
+  const auto [bench_code, bench] = run_command(
+      tool + " bench --kernel=CG --klass=S --threads=2 --repeat=1 "
+             "--json-out='" + json + "'");
+  EXPECT_EQ(bench_code, 0) << bench;
+  std::string doc;
+  if (FILE* f = std::fopen(json.c_str(), "r")) {
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) doc += buf;
+    std::fclose(f);
+  }
+  std::remove(json.c_str());
+  EXPECT_NE(doc.find("\"identical\":true"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"trace\":\"CG.S/2T/4KB\""), std::string::npos) << doc;
+}
+#endif
 
 // A flag the binary does not read exits 2 naming it, instead of running the
 // default: a misspelt --kernel= would run all eight kernels, --help a
@@ -104,13 +224,8 @@ TEST_F(StrictInputs, UnknownFlagExitsTwo) {
   }
 
 #ifdef LPOMP_CLI_BINARIES
-  const std::string binaries = LPOMP_CLI_BINARIES;
   std::size_t checked = 0;
-  for (std::size_t start = 0; start < binaries.size();) {
-    std::size_t comma = binaries.find(',', start);
-    if (comma == std::string::npos) comma = binaries.size();
-    const std::string binary = binaries.substr(start, comma - start);
-    start = comma + 1;
+  for (const std::string& binary : cli_binaries()) {
     const auto [code, output] = run_command("'" + binary + "' --klas=S");
     EXPECT_EQ(code, 2) << binary << ": " << output;
     EXPECT_NE(output.find("unknown flag --klas"), std::string::npos)
